@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sdr_core::ImmLayout;
-use sdr_dpa::{DpaCqe, DpaMsgTable, ProcessStats};
+use sdr_dpa::{RecvCqe, RecvStats, RecvTable};
 use std::hint::black_box;
 
 fn bench_chunk_sizes(c: &mut Criterion) {
@@ -22,21 +22,14 @@ fn bench_chunk_sizes(c: &mut Criterion) {
             |b, &cp| {
                 b.iter_batched(
                     || {
-                        let t = DpaMsgTable::new(4, layout);
+                        let t = RecvTable::new(4, layout);
                         t.post(0, 0, PKTS, cp);
                         t
                     },
                     |t| {
-                        let mut st = ProcessStats::default();
+                        let mut st = RecvStats::default();
                         for pkt in 0..PKTS as u32 {
-                            t.process(
-                                DpaCqe {
-                                    imm: layout.encode(0, pkt, 0),
-                                    generation: 0,
-                                    null_write: false,
-                                },
-                                &mut st,
-                            );
+                            t.process(RecvCqe::landed(layout.encode(0, pkt, 0), 0), &mut st);
                         }
                         black_box(st)
                     },

@@ -149,8 +149,8 @@ fn main() {
     );
     let rounds: usize = if smoke { 2_000 } else { 40_000 };
     for (name, batched) in [("per-slot post", false), ("post_batch sweep", true)] {
-        use sdr_dpa::{DpaMsgTable, SlotPost};
-        let table = DpaMsgTable::new(64, ImmLayout::default());
+        use sdr_dpa::{RecvTable, SlotPost};
+        let table = RecvTable::new(64, ImmLayout::default());
         let posts: Vec<SlotPost> = (0..64)
             .map(|slot| SlotPost {
                 slot,

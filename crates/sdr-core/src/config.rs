@@ -26,8 +26,8 @@ pub struct SdrConfig {
     pub generations: usize,
     /// End-to-end payload integrity: when set, every injected packet
     /// carries a CRC32C over its payload (modeled as transport-header
-    /// content) and the receiver verifies each landing by memory
-    /// read-back before recording the packet — a corrupted packet is
+    /// content). The receiving NIC checks it before the DMA and reports
+    /// its verdict in the completion; a packet that fails is
     /// reclassified as a *loss* (its bitmap bit stays clear), so the
     /// ordinary NACK/RTO repair machinery heals it. Per-hop link CRCs
     /// cannot provide this across a multi-hop WAN path. Off buys nothing

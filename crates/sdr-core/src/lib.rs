@@ -35,6 +35,9 @@
 //!   generation its *own* root memory-key table, which additionally protects
 //!   the reposted buffer contents (not just the bitmaps) from
 //!   generation-stale DMA — a strict strengthening of the paper's scheme;
+//! * one receive backend, the [`RecvTable`] (§3.2.4): late-packet filters,
+//!   the NIC's checksum verdict and bitmap recording, run one CQE at a
+//!   time by [`SdrQp`] and in batches by the `sdr-dpa` worker threads;
 //! * multi-channel packet striping for backend parallelism (§3.4.1); the
 //!   real-thread offload engine lives in the `sdr-dpa` crate.
 
@@ -46,6 +49,7 @@ pub mod context;
 pub mod handles;
 pub mod imm;
 pub mod qp;
+pub mod table;
 pub mod testkit;
 
 pub use bitmap::{AtomicBitmap, TwoLevelBitmap};
@@ -54,6 +58,7 @@ pub use context::SdrContext;
 pub use handles::{RecvHandle, SdrError, SdrStats, SendHandle};
 pub use imm::{ImmLayout, UserImmAccumulator};
 pub use qp::{SdrQp, SdrQpInfo};
+pub use table::{RecvCqe, RecvStats, RecvTable, SlotPost};
 
 #[cfg(test)]
 mod tests {
@@ -104,6 +109,25 @@ mod tests {
         let st = p.qp_b.stats();
         assert_eq!(st.packets_received, 74);
         assert_eq!(st.chunks_completed, 5); // ceil(74/16)
+    }
+
+    #[test]
+    fn dropping_a_pair_after_a_transfer_frees_its_fabric() {
+        // The QPs' CQ wakers live inside the fabric's nodes; had they
+        // captured the fabric, it would keep itself alive forever.
+        let mut p = lossless_pair();
+        let sentinel = std::rc::Rc::new(());
+        let fabric_alive = std::rc::Rc::downgrade(&sentinel);
+        p.fabric
+            .on_restart(p.node_a, move |_, _| drop(sentinel.clone()));
+        let dst = p.ctx_b.alloc_buffer(1 << 20);
+        let src = p.ctx_a.alloc_buffer(1 << 20);
+        let rh = p.qp_b.recv_post(&mut p.eng, dst, 100_000).unwrap();
+        p.qp_a.send_post(&mut p.eng, src, 100_000, None).unwrap();
+        p.eng.run();
+        assert!(p.qp_b.recv_is_complete(&rh).unwrap());
+        drop(p);
+        assert!(fabric_alive.upgrade().is_none(), "fabric leaked");
     }
 
     #[test]

@@ -13,9 +13,16 @@
 //! * One UD control QP carrying clear-to-send (CTS) signals: order-based
 //!   matching means a CTS only needs the receive sequence number and buffer
 //!   length — no addresses or keys (§3.1.3).
+//!
+//! Data completions go through the [`RecvTable`] — the same receive
+//! backend the `sdr-dpa` workers run — which applies the late-packet
+//! filters and the NIC's checksum verdict and records the bitmaps. The QP
+//! keeps only what the table does not: the user-immediate fragments and,
+//! with payload checksums on, each accepted packet's arrival CRC (the
+//! header CRC the NIC vouched for) for [`SdrQp::verify_packet_range`].
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::rc::{Rc, Weak};
 use std::sync::Arc;
 
@@ -26,6 +33,7 @@ use crate::bitmap::TwoLevelBitmap;
 use crate::config::SdrConfig;
 use crate::handles::{RecvHandle, SdrError, SdrStats, SendHandle};
 use crate::imm::UserImmAccumulator;
+use crate::table::{RecvCqe, RecvStats, RecvTable};
 
 /// Number of pre-posted control receive buffers (CTS credits on the wire).
 const CTRL_RQ_DEPTH: usize = 64;
@@ -59,38 +67,28 @@ pub struct SdrQpInfo {
     pub ctrl: QpAddr,
 }
 
+/// Per-receive state beside the [`RecvTable`] slot (which holds the
+/// activity flag, generation and bitmap).
 struct RecvSlot {
     seq: u64,
-    active: bool,
-    bitmap: Option<Arc<TwoLevelBitmap>>,
     imm_acc: UserImmAccumulator,
-    /// Base address of the posted user buffer; payload verification
-    /// reads landed bytes back from here.
-    buf_addr: u64,
     /// CRC32C of each packet's payload as it was verified on arrival,
     /// indexed by packet offset. Empty when payload checksums are off.
     /// Erasure-coded receivers re-check staged shards against these
     /// before decoding, catching corrupted wire duplicates that landed
     /// after the original clean packet was recorded.
     arrival_crcs: Vec<Option<u32>>,
-    /// Kept for diagnostics; the datapath resolves through the root key.
-    #[allow(dead_code)]
+    /// Posted buffer length, re-announced by [`SdrQp::resend_cts`].
     buf_len: u64,
-    #[allow(dead_code)]
-    buf_mkey: MkeyId,
 }
 
 impl RecvSlot {
     fn empty() -> Self {
         RecvSlot {
             seq: u64::MAX,
-            active: false,
-            bitmap: None,
             imm_acc: UserImmAccumulator::new(),
-            buf_addr: 0,
             arrival_crcs: Vec::new(),
             buf_len: 0,
-            buf_mkey: MkeyId(u32::MAX),
         }
     }
 }
@@ -102,7 +100,6 @@ struct SendState {
     local_addr: u64,
     total_len: u64,
     user_imm: Option<u32>,
-    peer_buf_len: u64,
     /// One-shot sends posted before their CTS arrived wait here.
     deferred_oneshot: bool,
     stream_open: bool,
@@ -120,16 +117,15 @@ struct QpInner {
     cfg: SdrConfig,
     recv_cq: CqId,
     send_cq: CqId,
+    /// Internal UC QPs, numbered consecutively as `gen * channels + channel`.
     uc_qps: Vec<QpNum>,
-    /// Receiver-side: internal QP number → generation.
-    qp_generation: HashMap<u32, u32>,
     root_mkeys: Vec<MkeyId>,
     null_mkey: MkeyId,
     ctrl_qp: QpNum,
-    /// Base address of the pre-posted control buffers (diagnostics).
-    #[allow(dead_code)]
-    ctrl_buf_base: u64,
     remote: Option<SdrQpInfo>,
+    table: RecvTable,
+    /// Receive-path counters, kept by the table.
+    rx: RecvStats,
     recv_slots: Vec<RecvSlot>,
     recv_seq: u64,
     send_seq: u64,
@@ -156,15 +152,9 @@ impl SdrQp {
         let inner = fabric.node_mut(node, |n| {
             let recv_cq = n.create_cq();
             let send_cq = n.create_cq();
-            let mut uc_qps = Vec::new();
-            let mut qp_generation = HashMap::new();
-            for gen in 0..cfg.generations {
-                for _ch in 0..cfg.channels {
-                    let qp = n.create_qp(QpType::Uc, send_cq, recv_cq);
-                    qp_generation.insert(qp.0, gen as u32);
-                    uc_qps.push(qp);
-                }
-            }
+            let uc_qps: Vec<QpNum> = (0..cfg.generations * cfg.channels)
+                .map(|_| n.create_qp(QpType::Uc, send_cq, recv_cq))
+                .collect();
             let root_mkeys = (0..cfg.generations)
                 .map(|_| n.create_indirect_mkey(cfg.max_msg_bytes, cfg.msg_slots))
                 .collect();
@@ -190,12 +180,12 @@ impl SdrQp {
                 recv_cq,
                 send_cq,
                 uc_qps,
-                qp_generation,
                 root_mkeys,
                 null_mkey,
                 ctrl_qp,
-                ctrl_buf_base,
                 remote: None,
+                table: RecvTable::new(cfg.msg_slots, cfg.imm),
+                rx: RecvStats::default(),
                 recv_slots: (0..cfg.msg_slots).map(|_| RecvSlot::empty()).collect(),
                 recv_seq: 0,
                 send_seq: 0,
@@ -214,26 +204,21 @@ impl SdrQp {
         Ok(qp)
     }
 
+    /// The CQ wakers live in the fabric's node, so they hold the QP
+    /// weakly and reach the fabric through it: a `Fabric` captured here
+    /// would keep itself alive.
     fn install_wakers(&self, fabric: &Fabric, node: NodeId) {
         let (recv_cq, send_cq) = {
             let i = self.inner.borrow();
             (i.recv_cq, i.send_cq)
         };
         let weak = Rc::downgrade(&self.inner);
-        let fab = fabric.clone();
-        fabric.node_mut(node, |n| {
-            n.set_cq_waker(
-                recv_cq,
-                Waker::new(move |eng| Self::drain_recv(&weak, &fab, node, recv_cq, eng)),
-            );
-        });
+        let recv = Waker::new(move |eng| Self::drain_recv(&weak, node, recv_cq, eng));
         let weak = Rc::downgrade(&self.inner);
-        let fab = fabric.clone();
+        let send = Waker::new(move |_| Self::drain_send(&weak, node, send_cq));
         fabric.node_mut(node, |n| {
-            n.set_cq_waker(
-                send_cq,
-                Waker::new(move |eng| Self::drain_send(&weak, &fab, node, send_cq, eng)),
-            );
+            n.set_cq_waker(recv_cq, recv);
+            n.set_cq_waker(send_cq, send);
         });
     }
 
@@ -283,7 +268,19 @@ impl SdrQp {
 
     /// Counters accumulated so far.
     pub fn stats(&self) -> SdrStats {
-        self.inner.borrow().stats
+        let i = self.inner.borrow();
+        let rx = i.rx;
+        SdrStats {
+            packets_received: rx.packets,
+            duplicate_packets: rx.duplicates,
+            late_null_discarded: rx.null_filtered,
+            generation_filtered: rx.generation_filtered,
+            inactive_slot_drops: rx.inactive,
+            bad_offset: rx.bad_offset,
+            chunks_completed: rx.chunks,
+            payload_corrupt: rx.corrupt,
+            ..i.stats
+        }
     }
 
     /// The node this QP lives on.
@@ -314,37 +311,28 @@ impl SdrQp {
         let seq = i.recv_seq;
         let slot = (seq % i.cfg.msg_slots as u64) as usize;
         let gen = ((seq / i.cfg.msg_slots as u64) % i.cfg.generations as u64) as u32;
-        if i.recv_slots[slot].active {
+        if i.table.is_active(slot) {
             return Err(SdrError::SlotBusy);
         }
         i.recv_seq += 1;
 
         let total_packets = i.cfg.packets_for(len) as usize;
-        let bitmap = Arc::new(TwoLevelBitmap::new(
-            total_packets,
-            i.cfg.packets_per_chunk() as u32,
-        ));
-        let (node, root, null) = (i.node, i.root_mkeys[gen as usize], i.null_mkey);
-        let buf_mkey = i.fabric.node_mut(node, |n| {
+        let (node, root) = (i.node, i.root_mkeys[gen as usize]);
+        i.fabric.node_mut(node, |n| {
             let mk = n.reg_mr(addr, len);
             n.set_indirect_slot(root, slot, Some(mk));
-            // Defensive: make sure no other generation still points here.
-            let _ = null;
-            mk
         });
+        i.table
+            .post(slot, gen, total_packets, i.cfg.packets_per_chunk() as u32);
         i.recv_slots[slot] = RecvSlot {
             seq,
-            active: true,
-            bitmap: Some(bitmap),
             imm_acc: UserImmAccumulator::new(),
-            buf_addr: addr,
             arrival_crcs: if i.cfg.payload_checksums {
                 vec![None; total_packets]
             } else {
                 Vec::new()
             },
             buf_len: len,
-            buf_mkey,
         };
         i.stats.recvs_posted += 1;
 
@@ -372,10 +360,7 @@ impl SdrQp {
         if count > slots {
             return false;
         }
-        (0..count).all(|k| {
-            let slot = ((i.recv_seq + k) % slots) as usize;
-            !i.recv_slots[slot].active
-        })
+        (0..count).all(|k| !i.table.is_active(((i.recv_seq + k) % slots) as usize))
     }
 
     /// Number of receive posts that would currently succeed back-to-back:
@@ -387,10 +372,7 @@ impl SdrQp {
         let i = self.inner.borrow();
         let slots = i.cfg.msg_slots as u64;
         (0..slots)
-            .take_while(|k| {
-                let slot = ((i.recv_seq + k) % slots) as usize;
-                !i.recv_slots[slot].active
-            })
+            .take_while(|k| !i.table.is_active(((i.recv_seq + k) % slots) as usize))
             .count() as u64
     }
 
@@ -400,7 +382,7 @@ impl SdrQp {
     pub fn resend_cts(&self, eng: &mut Engine, hdl: &RecvHandle) -> Result<(), SdrError> {
         let i = self.inner.borrow();
         let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq || !slot.active {
+        if slot.seq != hdl.seq || !i.table.is_active(hdl.slot) {
             return Err(SdrError::BadHandle);
         }
         let remote_ctrl = i.remote.as_ref().ok_or(SdrError::NotConnected)?.ctrl;
@@ -454,11 +436,10 @@ impl SdrQp {
     /// The reliability layer polls this to locate drops.
     pub fn recv_bitmap(&self, hdl: &RecvHandle) -> Result<Arc<TwoLevelBitmap>, SdrError> {
         let i = self.inner.borrow();
-        let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq {
+        if i.recv_slots[hdl.slot].seq != hdl.seq || !i.table.is_active(hdl.slot) {
             return Err(SdrError::BadHandle);
         }
-        slot.bitmap.clone().ok_or(SdrError::BadHandle)
+        Ok(i.table.bitmap(hdl.slot))
     }
 
     /// The reassembled 32-bit user immediate, if every fragment has arrived
@@ -517,9 +498,8 @@ impl SdrQp {
     /// (stage 1), and their completions are filtered by generation/activity
     /// (stage 2). The slot becomes reusable.
     pub fn recv_complete(&self, _eng: &mut Engine, hdl: &RecvHandle) -> Result<(), SdrError> {
-        let mut i = self.inner.borrow_mut();
-        let slot = &i.recv_slots[hdl.slot];
-        if slot.seq != hdl.seq || !slot.active {
+        let i = self.inner.borrow();
+        if i.recv_slots[hdl.slot].seq != hdl.seq || !i.table.is_active(hdl.slot) {
             return Err(SdrError::BadHandle);
         }
         let gen = ((hdl.seq / i.cfg.msg_slots as u64) % i.cfg.generations as u64) as usize;
@@ -527,9 +507,7 @@ impl SdrQp {
         i.fabric.node_mut(node, |n| {
             n.set_indirect_slot(root, hdl.slot, Some(null));
         });
-        let s = &mut i.recv_slots[hdl.slot];
-        s.active = false;
-        s.bitmap = None;
+        i.table.complete(hdl.slot);
         Ok(())
     }
 
@@ -564,23 +542,17 @@ impl SdrQp {
         user_imm: Option<u32>,
     ) -> Result<SendHandle, SdrError> {
         let hdl = self.send_start_common(addr, len, user_imm, true)?;
-        let i = self.inner.borrow();
-        let st = &i.sends[&hdl.id];
-        if !i.cts_credits.contains_key(&st.seq) {
-            drop(i);
-            self.inner.borrow_mut().sends.remove(&hdl.id);
-            // Roll back the sequence number we consumed.
-            self.inner.borrow_mut().send_seq -= 1;
-            return Err(SdrError::NoCts);
-        }
-        let peer_len = i.cts_credits[&st.seq];
-        if len > peer_len {
-            drop(i);
-            self.inner.borrow_mut().sends.remove(&hdl.id);
-            self.inner.borrow_mut().send_seq -= 1;
-            return Err(SdrError::TooLarge);
-        }
-        Ok(hdl)
+        let mut i = self.inner.borrow_mut();
+        let seq = i.sends[&hdl.id].seq;
+        let err = match i.cts_credits.get(&seq) {
+            None => SdrError::NoCts,
+            Some(&peer_len) if len > peer_len => SdrError::TooLarge,
+            Some(_) => return Ok(hdl),
+        };
+        // Roll back the send context and the sequence number it consumed.
+        i.sends.remove(&hdl.id);
+        i.send_seq -= 1;
+        Err(err)
     }
 
     fn send_start_common(
@@ -612,7 +584,6 @@ impl SdrQp {
                 local_addr: addr,
                 total_len: len,
                 user_imm,
-                peer_buf_len: 0,
                 deferred_oneshot: false,
                 stream_open: stream,
                 injected_any: false,
@@ -625,19 +596,12 @@ impl SdrQp {
     fn try_inject_oneshot(&self, eng: &mut Engine, hdl: SendHandle) -> Result<(), SdrError> {
         let ready = {
             let mut i = self.inner.borrow_mut();
-            let st = i.sends.get(&hdl.id).ok_or(SdrError::BadHandle)?;
-            let seq = st.seq;
-            match i.cts_credits.get(&seq).copied() {
-                Some(peer_len) => {
-                    let st = i.sends.get_mut(&hdl.id).expect("checked");
-                    if st.total_len > peer_len {
-                        return Err(SdrError::TooLarge);
-                    }
-                    st.peer_buf_len = peer_len;
-                    true
-                }
+            let i = &mut *i;
+            let st = i.sends.get_mut(&hdl.id).ok_or(SdrError::BadHandle)?;
+            match i.cts_credits.get(&st.seq) {
+                Some(&peer_len) if st.total_len > peer_len => return Err(SdrError::TooLarge),
+                Some(_) => true,
                 None => {
-                    let st = i.sends.get_mut(&hdl.id).expect("checked");
                     st.deferred_oneshot = true;
                     false
                 }
@@ -777,14 +741,9 @@ impl SdrQp {
     // Backend: completion processing
     // ------------------------------------------------------------------
 
-    fn drain_recv(
-        weak: &Weak<RefCell<QpInner>>,
-        fabric: &Fabric,
-        node: NodeId,
-        cq: CqId,
-        eng: &mut Engine,
-    ) {
+    fn drain_recv(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId, eng: &mut Engine) {
         let Some(inner) = weak.upgrade() else { return };
+        let fabric = inner.borrow().fabric.clone();
         while let Some(cqe) = fabric.node_mut(node, |n| n.poll_cq(cq)) {
             // Handle the CQE while holding the borrow, collecting any user
             // callback to run unborrowed.
@@ -793,7 +752,7 @@ impl SdrQp {
                 match cqe.op {
                     sdr_sim::CqeOp::RecvSend => i.handle_ctrl(cqe),
                     sdr_sim::CqeOp::RecvWriteImm => {
-                        i.handle_data_cqe(cqe);
+                        i.handle_data(cqe);
                         None
                     }
                     sdr_sim::CqeOp::SendComplete => None,
@@ -835,15 +794,9 @@ impl SdrQp {
         }
     }
 
-    fn drain_send(
-        weak: &Weak<RefCell<QpInner>>,
-        fabric: &Fabric,
-        node: NodeId,
-        cq: CqId,
-        eng: &mut Engine,
-    ) {
-        let _ = eng;
+    fn drain_send(weak: &Weak<RefCell<QpInner>>, node: NodeId, cq: CqId) {
         let Some(inner) = weak.upgrade() else { return };
+        let fabric = inner.borrow().fabric.clone();
         while let Some(cqe) = fabric.node_mut(node, |n| n.poll_cq(cq)) {
             if cqe.op == sdr_sim::CqeOp::SendComplete {
                 let mut i = inner.borrow_mut();
@@ -865,32 +818,24 @@ impl QpInner {
         if cqe.byte_len as usize != CTS_BYTES {
             return None;
         }
-        let (seq, len, intact, wqe_addr) = {
-            let addr = cqe.wr_id; // wr_id carries the buffer address
-            let fabric = self.fabric.clone();
-            let (seq, len, intact) = fabric.node(self.node, |n| {
-                let b = n.mem().read(addr, CTS_BYTES);
-                let crc = u32::from_le_bytes(b[16..20].try_into().expect("length checked"));
-                (
-                    u64::from_le_bytes(b[0..8].try_into().expect("length checked")),
-                    u64::from_le_bytes(b[8..16].try_into().expect("length checked")),
-                    sdr_erasure::crc32c(&b[..16]) == crc,
-                )
-            });
-            (seq, len, intact, addr)
-        };
-        // Repost the control buffer.
-        let (node, ctrl_qp) = (self.node, self.ctrl_qp);
-        self.fabric.node_mut(node, |n| {
-            n.post_recv(
-                ctrl_qp,
-                RecvWqe {
-                    wr_id: wqe_addr,
-                    addr: wqe_addr,
-                    len: CTS_BYTES as u64,
-                },
+        let addr = cqe.wr_id; // wr_id carries the buffer address
+        let (seq, len, intact) = self.fabric.node(self.node, |n| {
+            let b = n.mem().read(addr, CTS_BYTES);
+            let crc = u32::from_le_bytes(b[16..20].try_into().expect("length checked"));
+            (
+                u64::from_le_bytes(b[0..8].try_into().expect("length checked")),
+                u64::from_le_bytes(b[8..16].try_into().expect("length checked")),
+                sdr_erasure::crc32c(&b[..16]) == crc,
             )
         });
+        // Repost the control buffer.
+        let wqe = RecvWqe {
+            wr_id: addr,
+            addr,
+            len: CTS_BYTES as u64,
+        };
+        self.fabric
+            .node_mut(self.node, |n| n.post_recv(self.ctrl_qp, wqe));
         if !intact {
             // A corrupted CTS is indistinguishable from a lost one: drop
             // it here and let the receiver's resend cadence heal the
@@ -904,78 +849,42 @@ impl QpInner {
         Some((seq, len))
     }
 
-    /// Data-path completion: decode the immediate, apply the two-stage
-    /// late-packet filters, update bitmaps (§3.2.4, §3.3).
-    fn handle_data_cqe(&mut self, cqe: sdr_sim::Cqe) {
-        // Stage 1: writes that landed on the NULL key are late packets.
-        if cqe.null_write {
-            self.stats.late_null_discarded += 1;
-            return;
-        }
+    /// Data-path completion: the receive table applies the late-packet
+    /// filters and the NIC's checksum verdict and records the bitmaps
+    /// (§3.2.4, §3.3). A completion that passed — new or duplicate —
+    /// also contributes its user-immediate fragment and arrival CRC.
+    fn handle_data(&mut self, cqe: sdr_sim::Cqe) {
         let Some(imm) = cqe.imm else {
-            self.stats.bad_offset += 1;
+            self.rx.bad_offset += 1;
             return;
         };
+        let rcqe = RecvCqe {
+            imm,
+            generation: self.generation_of(cqe.qp),
+            null_write: cqe.null_write,
+            crc_ok: cqe.crc_ok,
+        };
+        if !self.table.process(rcqe, &mut self.rx) {
+            return;
+        }
         let (msg_id, pkt_offset, user_frag) = self.cfg.imm.decode(imm);
-        let slot_idx = msg_id as usize;
-        if slot_idx >= self.recv_slots.len() {
-            self.stats.bad_offset += 1;
-            return;
-        }
-        // Stage 2: the generation of the delivering QP must match the
-        // slot's current generation.
-        let cqe_gen = *self.qp_generation.get(&cqe.qp.0).unwrap_or(&u32::MAX);
-        let slot = &mut self.recv_slots[slot_idx];
-        if !slot.active {
-            self.stats.inactive_slot_drops += 1;
-            return;
-        }
-        let slot_gen =
-            ((slot.seq / self.cfg.msg_slots as u64) % self.cfg.generations as u64) as u32;
-        if cqe_gen != slot_gen {
-            self.stats.generation_filtered += 1;
-            return;
-        }
-        let Some(bitmap) = &slot.bitmap else {
-            self.stats.inactive_slot_drops += 1;
-            return;
-        };
-        if pkt_offset as usize >= bitmap.total_packets() {
-            self.stats.bad_offset += 1;
-            return;
-        }
-        // End-to-end integrity: read the landed bytes back and compare
-        // their CRC32C against the sender's (carried in the modeled
-        // transport header). A mismatch reclassifies corruption as a
-        // *loss* — the bitmap bit stays clear, so the ordinary NACK/RTO
-        // repair machinery resends the packet. No corrupted payload is
-        // ever recorded as received.
-        if self.cfg.payload_checksums {
-            let base = slot.buf_addr + pkt_offset as u64 * self.cfg.mtu_bytes;
-            let landed = self.fabric.node(self.node, |n| {
-                sdr_erasure::crc32c(n.mem().read(base, cqe.byte_len as usize))
-            });
-            if let Some(wire) = cqe.crc {
-                if wire != landed {
-                    self.stats.payload_corrupt += 1;
-                    return;
-                }
-            }
-            slot.arrival_crcs[pkt_offset as usize] = Some(landed);
-        }
+        let slot = &mut self.recv_slots[msg_id as usize];
         slot.imm_acc.absorb(&self.cfg.imm, pkt_offset, user_frag);
-        let before = bitmap.packets().get(pkt_offset as usize);
-        if before {
-            self.stats.duplicate_packets += 1;
-        } else {
-            self.stats.packets_received += 1;
+        // The verdict vouches that memory holds bytes matching the header
+        // CRC, so the header CRC is the arrival CRC.
+        if let Some(arrival) = slot.arrival_crcs.get_mut(pkt_offset as usize) {
+            *arrival = cqe.crc;
         }
-        if bitmap.record_packet(pkt_offset as usize).is_some() {
-            self.stats.chunks_completed += 1;
+    }
+
+    /// The generation of an internal UC QP (stage 2 of the late-packet
+    /// protection); `u32::MAX` for any other QP.
+    fn generation_of(&self, qp: QpNum) -> u32 {
+        let idx = qp.0.wrapping_sub(self.uc_qps[0].0) as usize;
+        if idx < self.uc_qps.len() {
+            (idx / self.cfg.channels) as u32
+        } else {
+            u32::MAX
         }
     }
 }
-
-/// Keeps `VecDeque` import alive for future pending-send queues.
-#[allow(dead_code)]
-type PendingQueue = VecDeque<u64>;

@@ -1,28 +1,58 @@
-//! Shared message table: the receive-side state DPA workers operate on.
+//! The receive table: SDR's one receive-completion backend (§3.2.4, §3.4.2).
 //!
-//! Mirrors the hardware layout of §3.2.2/§3.4.2: per-message-slot
-//! generation + activity state, the per-packet bitmap "in DPA memory" and
-//! the chunk bitmap "in host memory" (the [`TwoLevelBitmap`]). All datapath
-//! accesses are atomic; only repost (the host frontend) takes the slot's
-//! write lock to swap in a fresh bitmap.
+//! Per message-ID slot it holds the generation and activity state and the
+//! two-level bitmap — the per-packet bitmap "in DPA memory" and the chunk
+//! bitmap "in host memory". Every data completion runs the same filters in
+//! the same order, each counted in [`RecvStats`]: NULL-key write (stage 1)
+//! → message id out of range → inactive slot → generation mismatch
+//! (stage 2) → packet offset out of range → failed checksum verdict
+//! (corruption becomes loss). A survivor sets its packet bit and publishes
+//! the chunk bit when it completes a chunk.
+//!
+//! [`SdrQp`](crate::SdrQp) feeds its CQEs one at a time through
+//! [`process`](RecvTable::process); the `sdr-dpa` worker threads drain
+//! their rings through [`process_batch`](RecvTable::process_batch). Both
+//! run the same code. All datapath accesses are atomic; only a repost
+//! takes the slot's write lock to swap in a fresh bitmap.
 
-use crate::ring::DpaCqe;
-use parking_lot::RwLock;
-use sdr_core::bitmap::TwoLevelBitmap;
-use sdr_core::imm::ImmLayout;
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-/// One message-ID slot.
-pub struct DpaSlot {
-    generation: AtomicU32,
-    active: AtomicBool,
-    bitmap: RwLock<Arc<TwoLevelBitmap>>,
+use crate::bitmap::TwoLevelBitmap;
+use crate::imm::ImmLayout;
+
+/// A data-packet completion as the table sees it: the 32-bit transport
+/// immediate plus what the CQE and the delivering QP's context tell the
+/// receive backend.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RecvCqe {
+    /// Transport immediate (msg id | packet offset | user fragment).
+    pub imm: u32,
+    /// Generation of the QP that delivered the packet.
+    pub generation: u32,
+    /// Payload was discarded by the NULL memory key (late packet).
+    pub null_write: bool,
+    /// The NIC's checksum verdict: the destination holds bytes matching
+    /// the packet's header CRC (always true when no CRC was carried).
+    pub crc_ok: bool,
 }
 
-/// Per-worker processing counters.
+impl RecvCqe {
+    /// A completion whose payload landed intact: not NULL-keyed, checksum
+    /// verdict passed.
+    pub fn landed(imm: u32, generation: u32) -> Self {
+        RecvCqe {
+            imm,
+            generation,
+            null_write: false,
+            crc_ok: true,
+        }
+    }
+}
+
+/// Receive-path counters, one per filter stage plus the bitmap outcomes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProcessStats {
+pub struct RecvStats {
     /// Packets whose bitmap bit was set.
     pub packets: u64,
     /// Duplicate packet completions.
@@ -35,14 +65,16 @@ pub struct ProcessStats {
     pub generation_filtered: u64,
     /// Completions for inactive slots.
     pub inactive: u64,
-    /// Out-of-range packet offsets.
+    /// Out-of-range message ids or packet offsets.
     pub bad_offset: u64,
+    /// Completions whose checksum verdict failed (left as losses).
+    pub corrupt: u64,
 }
 
-impl ProcessStats {
+impl RecvStats {
     /// Element-wise sum of two stats records.
-    pub fn merge(&self, other: &ProcessStats) -> ProcessStats {
-        ProcessStats {
+    pub fn merge(&self, other: &RecvStats) -> RecvStats {
+        RecvStats {
             packets: self.packets + other.packets,
             duplicates: self.duplicates + other.duplicates,
             chunks: self.chunks + other.chunks,
@@ -50,11 +82,12 @@ impl ProcessStats {
             generation_filtered: self.generation_filtered + other.generation_filtered,
             inactive: self.inactive + other.inactive,
             bad_offset: self.bad_offset + other.bad_offset,
+            corrupt: self.corrupt + other.corrupt,
         }
     }
 }
 
-/// One slot repost request for [`DpaMsgTable::post_batch`].
+/// One slot repost request for [`RecvTable::post_batch`].
 #[derive(Clone, Copy, Debug)]
 pub struct SlotPost {
     /// Message-ID slot to repost.
@@ -67,18 +100,39 @@ pub struct SlotPost {
     pub pkts_per_chunk: u32,
 }
 
-/// The shared receive message table.
-pub struct DpaMsgTable {
-    slots: Vec<DpaSlot>,
+/// One message-ID slot.
+struct Slot {
+    generation: AtomicU32,
+    active: AtomicBool,
+    bitmap: RwLock<Arc<TwoLevelBitmap>>,
+}
+
+/// Reposts only swap or reset the bitmap under the write lock, which
+/// cannot panic halfway; a poisoned lock is a bug.
+const POISONED: &str = "receive-table slot lock poisoned";
+
+impl Slot {
+    fn is_active(&self) -> bool {
+        self.active.load(Ordering::Acquire)
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, Arc<TwoLevelBitmap>> {
+        self.bitmap.read().expect(POISONED)
+    }
+}
+
+/// The receive message table.
+pub struct RecvTable {
+    slots: Vec<Slot>,
     layout: ImmLayout,
 }
 
-impl DpaMsgTable {
+impl RecvTable {
     /// Creates a table with `slots` inactive message slots.
-    pub fn new(slots: usize, layout: ImmLayout) -> Arc<Self> {
-        Arc::new(DpaMsgTable {
+    pub fn new(slots: usize, layout: ImmLayout) -> Self {
+        RecvTable {
             slots: (0..slots)
-                .map(|_| DpaSlot {
+                .map(|_| Slot {
                     generation: AtomicU32::new(0),
                     active: AtomicBool::new(false),
                     // Placeholder bitmap; replaced on first post.
@@ -86,7 +140,7 @@ impl DpaMsgTable {
                 })
                 .collect(),
             layout,
-        })
+        }
     }
 
     /// Number of message slots.
@@ -94,7 +148,7 @@ impl DpaMsgTable {
         self.slots.len()
     }
 
-    /// The immediate layout workers decode with.
+    /// The immediate layout completions are decoded with.
     pub fn layout(&self) -> ImmLayout {
         self.layout
     }
@@ -106,13 +160,14 @@ impl DpaMsgTable {
     /// This is the one-at-a-time baseline: every post allocates a new
     /// bitmap. The batched path ([`post_batch`](Self::post_batch)) reuses
     /// retired bitmaps in place; fig16's repost A/B row contrasts them.
+    ///
+    /// # Panics
+    /// Panics when the slot is still active.
     pub fn post(&self, slot: usize, generation: u32, total_packets: usize, pkts_per_chunk: u32) {
         let s = &self.slots[slot];
-        assert!(
-            !s.active.load(Ordering::Acquire),
-            "slot {slot} still active"
-        );
-        *s.bitmap.write() = Arc::new(TwoLevelBitmap::new(total_packets, pkts_per_chunk));
+        assert!(!s.is_active(), "slot {slot} still active");
+        *s.bitmap.write().expect(POISONED) =
+            Arc::new(TwoLevelBitmap::new(total_packets, pkts_per_chunk));
         s.generation.store(generation, Ordering::Release);
         s.active.store(true, Ordering::Release);
     }
@@ -143,13 +198,9 @@ impl DpaMsgTable {
     pub fn post_batch(&self, posts: &[SlotPost]) {
         for p in posts {
             let s = &self.slots[p.slot];
-            assert!(
-                !s.active.load(Ordering::Acquire),
-                "slot {} still active",
-                p.slot
-            );
+            assert!(!s.is_active(), "slot {} still active", p.slot);
             {
-                let mut bm = s.bitmap.write();
+                let mut bm = s.bitmap.write().expect(POISONED);
                 match Arc::get_mut(&mut bm) {
                     Some(old)
                         if old.total_packets() == p.total_packets
@@ -172,29 +223,40 @@ impl DpaMsgTable {
         self.slots[slot].active.store(false, Ordering::Release);
     }
 
+    /// True while `slot` holds a posted, not yet completed message.
+    pub fn is_active(&self, slot: usize) -> bool {
+        self.slots[slot].is_active()
+    }
+
+    /// The bitmap of the message most recently posted into `slot`.
+    pub fn bitmap(&self, slot: usize) -> Arc<TwoLevelBitmap> {
+        self.slots[slot].read().clone()
+    }
+
     /// True when every chunk of the slot's message has arrived.
     pub fn is_complete(&self, slot: usize) -> bool {
         let s = &self.slots[slot];
-        s.active.load(Ordering::Acquire) && s.bitmap.read().is_complete()
+        s.is_active() && s.read().is_complete()
     }
 
     /// Packet indices still missing in the slot's message.
     pub fn missing_packets(&self, slot: usize) -> Vec<usize> {
-        let s = &self.slots[slot];
-        let bm = s.bitmap.read();
-        let n = bm.total_packets();
-        bm.packets().missing_in_first_n(n)
+        let bm = self.slots[slot].read();
+        bm.packets().missing_in_first_n(bm.total_packets())
     }
 
-    /// The worker datapath (§3.4.2): validate generation, locate the
-    /// message descriptor, update the per-packet bitmap, and publish the
-    /// chunk bit when this packet completes its chunk.
+    /// The single-CQE datapath: filters one completion and records it.
+    /// Returns `true` when it passed every filter — a new packet or a
+    /// duplicate — so the caller can absorb per-packet side data (the
+    /// user-immediate fragment, the arrival CRC).
     ///
-    /// Single-CQE convenience over [`process_batch`](Self::process_batch)
-    /// — same code path, batch of one.
+    /// The same code as [`process_batch`](Self::process_batch), run on a
+    /// batch of one.
     #[inline]
-    pub fn process(&self, cqe: crate::ring::DpaCqe, stats: &mut ProcessStats) {
-        self.process_batch(std::slice::from_ref(&cqe), stats);
+    pub fn process(&self, cqe: RecvCqe, stats: &mut RecvStats) -> bool {
+        let mut passed = false;
+        self.run(std::slice::from_ref(&cqe), stats, || passed = true);
+        passed
     }
 
     /// The batched worker datapath (§3.4.2): processes a drained run of
@@ -202,7 +264,7 @@ impl DpaMsgTable {
     /// one-at-a-time path pays 4096 times per ring poll:
     ///
     /// * **one bitmap read-lock per message run** — consecutive CQEs for
-    ///   the same message slot share a single `RwLock` acquisition (packets
+    ///   the same message slot share a single lock acquisition (packets
     ///   arrive in bursts per message, so runs are long);
     /// * **one atomic `fetch_or` per bitmap word** — packet bits landing in
     ///   the same 64-bit word coalesce into a mask before the RMW;
@@ -211,12 +273,17 @@ impl DpaMsgTable {
     ///   once per chunk per batch.
     ///
     /// Holding a slot's bitmap read-lock across the run also pins its
-    /// generation: `post` (repost) takes the write lock, so a repost
-    /// cannot swap the bitmap out mid-run, and per-CQE generation checks
-    /// keep filtering stale retransmissions exactly like the unbatched
-    /// path. Statistics are identical to processing the CQEs one at a
-    /// time.
-    pub fn process_batch(&self, cqes: &[DpaCqe], stats: &mut ProcessStats) {
+    /// generation: a repost takes the write lock, so it cannot swap the
+    /// bitmap out mid-run, and per-CQE generation checks keep filtering
+    /// stale retransmissions exactly like the single-CQE path. Statistics
+    /// are identical to processing the CQEs one at a time.
+    pub fn process_batch(&self, cqes: &[RecvCqe], stats: &mut RecvStats) {
+        self.run(cqes, stats, || {});
+    }
+
+    /// The filters and bitmap recording behind both entry points;
+    /// `on_pass` fires for every completion that passes all filters.
+    fn run(&self, cqes: &[RecvCqe], stats: &mut RecvStats, mut on_pass: impl FnMut()) {
         let mut idx = 0;
         while idx < cqes.len() {
             let head = cqes[idx];
@@ -231,18 +298,14 @@ impl DpaMsgTable {
                 idx += 1;
                 continue;
             };
-            if !slot.active.load(Ordering::Acquire) {
-                stats.inactive += 1;
-                idx += 1;
-                continue;
-            }
-            // A message run: every following CQE for the same slot shares
-            // this read guard and the word/chunk coalescing below.
-            let bm = slot.bitmap.read();
+            // A message run: every following CQE for the same slot,
+            // starting with `head`, shares this read guard and the
+            // word/chunk coalescing below.
+            let bm = slot.read();
             let total = bm.total_packets();
             let mut word = usize::MAX;
             let mut mask = 0u64;
-            let flush = |word: usize, mask: u64, st: &mut ProcessStats| {
+            let flush = |word: usize, mask: u64, st: &mut RecvStats| {
                 if mask == 0 {
                     return;
                 }
@@ -265,9 +328,8 @@ impl DpaMsgTable {
                 }
                 idx += 1;
                 // `complete()` stores active=false without the write lock,
-                // so it can land mid-run; re-check per CQE like the
-                // unbatched path did, keeping the stats identical.
-                if !slot.active.load(Ordering::Acquire) {
+                // so it can land mid-run: check activity per CQE.
+                if !slot.is_active() {
                     stats.inactive += 1;
                     continue;
                 }
@@ -280,6 +342,11 @@ impl DpaMsgTable {
                     stats.bad_offset += 1;
                     continue;
                 }
+                if !cqe.crc_ok {
+                    stats.corrupt += 1;
+                    continue;
+                }
+                on_pass();
                 let (w, bit) = (pkt / 64, 1u64 << (pkt % 64));
                 if w != word {
                     flush(word, mask, stats);
@@ -300,18 +367,13 @@ impl DpaMsgTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ring::DpaCqe;
 
-    fn table() -> Arc<DpaMsgTable> {
-        DpaMsgTable::new(4, ImmLayout::default())
+    fn table() -> RecvTable {
+        RecvTable::new(4, ImmLayout::default())
     }
 
-    fn cqe(layout: &ImmLayout, msg: u32, pkt: u32, generation: u32) -> DpaCqe {
-        DpaCqe {
-            imm: layout.encode(msg, pkt, 0),
-            generation,
-            null_write: false,
-        }
+    fn cqe(layout: &ImmLayout, msg: u32, pkt: u32, generation: u32) -> RecvCqe {
+        RecvCqe::landed(layout.encode(msg, pkt, 0), generation)
     }
 
     #[test]
@@ -319,9 +381,9 @@ mod tests {
         let t = table();
         let l = t.layout();
         t.post(0, 0, 32, 16);
-        let mut st = ProcessStats::default();
+        let mut st = RecvStats::default();
         for pkt in 0..32 {
-            t.process(cqe(&l, 0, pkt, 0), &mut st);
+            assert!(t.process(cqe(&l, 0, pkt, 0), &mut st));
         }
         assert_eq!(st.packets, 32);
         assert_eq!(st.chunks, 2);
@@ -333,8 +395,8 @@ mod tests {
         let t = table();
         let l = t.layout();
         t.post(1, 3, 8, 4);
-        let mut st = ProcessStats::default();
-        t.process(cqe(&l, 1, 0, 2), &mut st); // stale generation
+        let mut st = RecvStats::default();
+        assert!(!t.process(cqe(&l, 1, 0, 2), &mut st)); // stale generation
         assert_eq!(st.generation_filtered, 1);
         assert_eq!(st.packets, 0);
         t.process(cqe(&l, 1, 0, 3), &mut st);
@@ -345,12 +407,11 @@ mod tests {
     fn null_and_inactive_are_filtered() {
         let t = table();
         let l = t.layout();
-        let mut st = ProcessStats::default();
+        let mut st = RecvStats::default();
         t.process(
-            DpaCqe {
-                imm: l.encode(2, 0, 0),
-                generation: 0,
+            RecvCqe {
                 null_write: true,
+                ..cqe(&l, 2, 0, 0)
             },
             &mut st,
         );
@@ -364,12 +425,33 @@ mod tests {
         let t = table();
         let l = t.layout();
         t.post(0, 0, 4, 2);
-        let mut st = ProcessStats::default();
+        let mut st = RecvStats::default();
         t.process(cqe(&l, 0, 1, 0), &mut st);
-        t.process(cqe(&l, 0, 1, 0), &mut st);
+        assert!(t.process(cqe(&l, 0, 1, 0), &mut st), "duplicates pass");
         assert_eq!(st.duplicates, 1);
         t.process(cqe(&l, 0, 9, 0), &mut st); // beyond the 4-packet message
         assert_eq!(st.bad_offset, 1);
+    }
+
+    #[test]
+    fn failed_checksum_verdict_is_a_loss() {
+        // The verdict is the last filter: a bad offset wins over it, and
+        // a failed verdict leaves the packet bit clear.
+        let t = table();
+        let l = t.layout();
+        t.post(0, 0, 4, 2);
+        let mut st = RecvStats::default();
+        let corrupt = |pkt| RecvCqe {
+            crc_ok: false,
+            ..cqe(&l, 0, pkt, 0)
+        };
+        assert!(!t.process(corrupt(9), &mut st));
+        assert_eq!((st.bad_offset, st.corrupt), (1, 0));
+        assert!(!t.process(corrupt(2), &mut st));
+        assert_eq!(st.corrupt, 1);
+        assert_eq!(t.missing_packets(0), vec![0, 1, 2, 3]);
+        assert!(t.process(cqe(&l, 0, 2, 0), &mut st));
+        assert_eq!(t.missing_packets(0), vec![0, 1, 3]);
     }
 
     #[test]
@@ -377,7 +459,7 @@ mod tests {
         let t = table();
         let l = t.layout();
         t.post(0, 0, 4, 2);
-        let mut st = ProcessStats::default();
+        let mut st = RecvStats::default();
         for pkt in 0..4 {
             t.process(cqe(&l, 0, pkt, 0), &mut st);
         }
@@ -420,7 +502,7 @@ mod tests {
         // path was taken.
         let t = table();
         let l = t.layout();
-        let mut st = ProcessStats::default();
+        let mut st = RecvStats::default();
         for round in 0..3u32 {
             t.post_batch(&[
                 SlotPost {
@@ -471,7 +553,7 @@ mod tests {
             pkts_per_chunk: 2,
         }]);
         assert_eq!(t.missing_packets(2), vec![0, 1, 2, 3, 4, 5]);
-        let mut st = ProcessStats::default();
+        let mut st = RecvStats::default();
         let l = t.layout();
         for pkt in 0..6 {
             t.process(cqe(&l, 2, pkt, 1), &mut st);

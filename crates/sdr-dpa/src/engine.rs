@@ -13,10 +13,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use sdr_core::imm::ImmLayout;
+use sdr_core::table::{RecvCqe, RecvStats, RecvTable};
 use sdr_trace::{Counter, Histogram, Registry};
 
-use crate::ring::{CqeRing, DpaCqe};
-use crate::table::{DpaMsgTable, ProcessStats};
+use crate::ring::CqeRing;
 
 /// Configuration of a DPA engine instance.
 #[derive(Clone, Copy, Debug)]
@@ -31,7 +31,7 @@ pub struct DpaConfig {
     pub layout: ImmLayout,
     /// CQEs drained per ring poll (§3.4.2's batched bitmap publishes):
     /// each drained batch goes through
-    /// [`process_batch`](crate::DpaMsgTable::process_batch), which
+    /// [`process_batch`](RecvTable::process_batch), which
     /// coalesces bitmap-word updates and chunk publishes per message.
     /// `1` reproduces the one-at-a-time baseline for A/B runs.
     pub batch_budget: usize,
@@ -51,10 +51,10 @@ impl Default for DpaConfig {
 
 /// A running DPA engine: shared message table + worker threads.
 pub struct DpaEngine {
-    table: Arc<DpaMsgTable>,
+    table: Arc<RecvTable>,
     rings: Vec<Arc<CqeRing>>,
     stop: Arc<AtomicBool>,
-    workers: Vec<JoinHandle<ProcessStats>>,
+    workers: Vec<JoinHandle<RecvStats>>,
     rr: std::cell::Cell<usize>,
     metrics: Registry,
 }
@@ -74,7 +74,7 @@ impl DpaEngine {
     pub fn start_with_metrics(cfg: DpaConfig, metrics: Registry) -> Self {
         assert!(cfg.workers >= 1);
         assert!(cfg.batch_budget >= 1);
-        let table = DpaMsgTable::new(cfg.msg_slots, cfg.layout);
+        let table = Arc::new(RecvTable::new(cfg.msg_slots, cfg.layout));
         let rings: Vec<Arc<CqeRing>> = (0..cfg.workers)
             .map(|_| CqeRing::new(cfg.ring_capacity))
             .collect();
@@ -108,7 +108,7 @@ impl DpaEngine {
     }
 
     /// The shared message table (host-frontend view).
-    pub fn table(&self) -> &Arc<DpaMsgTable> {
+    pub fn table(&self) -> &Arc<RecvTable> {
         &self.table
     }
 
@@ -125,16 +125,10 @@ impl DpaEngine {
     /// Dispatches a packet completion round-robin across worker rings —
     /// the multi-channel striping of §3.4.1.
     #[inline]
-    pub fn dispatch(&self, cqe: DpaCqe) {
+    pub fn dispatch(&self, cqe: RecvCqe) {
         let i = self.rr.get();
         self.rr.set((i + 1) % self.rings.len());
         self.rings[i].push_blocking(cqe);
-    }
-
-    /// Dispatches to an explicit ring (tests, custom striping policies).
-    #[inline]
-    pub fn dispatch_to(&self, ring: usize, cqe: DpaCqe) {
-        self.rings[ring].push_blocking(cqe);
     }
 
     /// Completions still queued across all rings.
@@ -143,9 +137,9 @@ impl DpaEngine {
     }
 
     /// Stops the workers and returns their merged statistics.
-    pub fn shutdown(self) -> ProcessStats {
+    pub fn shutdown(self) -> RecvStats {
         self.stop.store(true, Ordering::Release);
-        let mut total = ProcessStats::default();
+        let mut total = RecvStats::default();
         for w in self.workers {
             let st = w.join().expect("worker panicked");
             total = total.merge(&st);
@@ -162,14 +156,14 @@ struct WorkerTrace {
 }
 
 fn worker_loop(
-    table: &DpaMsgTable,
+    table: &RecvTable,
     ring: &CqeRing,
     stop: &AtomicBool,
     budget: usize,
     trace: &WorkerTrace,
-) -> ProcessStats {
-    let mut stats = ProcessStats::default();
-    let mut batch: Vec<crate::ring::DpaCqe> = Vec::with_capacity(budget);
+) -> RecvStats {
+    let mut stats = RecvStats::default();
+    let mut batch: Vec<RecvCqe> = Vec::with_capacity(budget);
     let mut idle: u32 = 0;
     loop {
         batch.clear();
@@ -216,11 +210,7 @@ mod tests {
         let l = eng.table().layout();
         eng.table().post(0, 0, 64, 16);
         for pkt in 0..64 {
-            eng.dispatch(DpaCqe {
-                imm: l.encode(0, pkt, 0),
-                generation: 0,
-                null_write: false,
-            });
+            eng.dispatch(RecvCqe::landed(l.encode(0, pkt, 0), 0));
         }
         // Wait for completion.
         while !eng.table().is_complete(0) {
@@ -239,11 +229,7 @@ mod tests {
         let l = eng.table().layout();
         eng.table().post(3, 0, 1024, 16);
         for pkt in 0..1024 {
-            eng.dispatch(DpaCqe {
-                imm: l.encode(3, pkt, 0),
-                generation: 0,
-                null_write: false,
-            });
+            eng.dispatch(RecvCqe::landed(l.encode(3, pkt, 0), 0));
         }
         while !eng.table().is_complete(3) {
             std::thread::yield_now();
@@ -260,16 +246,8 @@ mod tests {
         let l = eng.table().layout();
         eng.table().post(0, 5, 16, 4);
         for pkt in 0..16 {
-            eng.dispatch(DpaCqe {
-                imm: l.encode(0, pkt, 0),
-                generation: 5,
-                null_write: false,
-            });
-            eng.dispatch(DpaCqe {
-                imm: l.encode(0, pkt, 0),
-                generation: 4, // stale
-                null_write: false,
-            });
+            eng.dispatch(RecvCqe::landed(l.encode(0, pkt, 0), 5));
+            eng.dispatch(RecvCqe::landed(l.encode(0, pkt, 0), 4)); // stale
         }
         while !eng.table().is_complete(0) {
             std::thread::yield_now();
@@ -286,11 +264,7 @@ mod tests {
         eng.table().post(1, 0, 32, 8);
         // Send all but packets 5 and 20.
         for pkt in (0..32).filter(|&p| p != 5 && p != 20) {
-            eng.dispatch(DpaCqe {
-                imm: l.encode(1, pkt, 0),
-                generation: 0,
-                null_write: false,
-            });
+            eng.dispatch(RecvCqe::landed(l.encode(1, pkt, 0), 0));
         }
         while eng.backlog() > 0 {
             std::thread::yield_now();
@@ -301,11 +275,7 @@ mod tests {
         assert_eq!(missing, vec![5, 20]);
         // Retransmit them (what the SR layer does) and complete.
         for pkt in [5u32, 20] {
-            eng.dispatch(DpaCqe {
-                imm: l.encode(1, pkt, 0),
-                generation: 0,
-                null_write: false,
-            });
+            eng.dispatch(RecvCqe::landed(l.encode(1, pkt, 0), 0));
         }
         while !eng.table().is_complete(1) {
             std::thread::yield_now();

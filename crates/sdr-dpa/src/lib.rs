@@ -5,14 +5,17 @@
 //! parallel, each validating the packet's generation, updating a per-packet
 //! bitmap in DPA memory, and publishing chunk bits to host memory over PCIe.
 //!
-//! This crate is the hardware substitution for Figures 14–16: the same
-//! datapath executed by host worker threads.
+//! This crate runs it on worker threads for Figures 14–16. The receive
+//! backend itself — slot generations and activity, the two-stage
+//! late-packet filter, the checksum-verdict stage and the two-level bitmap
+//! recording — is [`RecvTable`] in `sdr-core`, the same table every
+//! [`SdrQp`](sdr_core::SdrQp) runs. What this crate adds is the execution
+//! model around it:
 //!
 //! * [`CqeRing`] — per-worker lock-free completion rings (one per channel
 //!   group, §3.4.1).
-//! * [`DpaMsgTable`] — the shared receive state: slot generations, activity
-//!   flags, and the two-level bitmaps from `sdr-core`.
-//! * [`DpaEngine`] — spawns the workers and stripes completions round-robin.
+//! * [`DpaEngine`] — spawns the workers, each draining its ring through
+//!   [`RecvTable::process_batch`], and stripes completions round-robin.
 //! * [`run_loopback`] — the `ib_write_bw`-style client/server stress loop
 //!   used to regenerate Figure 14 (throughput vs message size, thread
 //!   scaling), Figure 15 (bitmap chunk size) and Figure 16 (packet-rate
@@ -29,9 +32,8 @@
 pub mod engine;
 pub mod loopback;
 pub mod ring;
-pub mod table;
 
 pub use engine::{DpaConfig, DpaEngine};
 pub use loopback::{run_loopback, LoopbackConfig, ThroughputReport};
-pub use ring::{CqeRing, DpaCqe};
-pub use table::{DpaMsgTable, ProcessStats, SlotPost};
+pub use ring::CqeRing;
+pub use sdr_core::table::{RecvCqe, RecvStats, RecvTable, SlotPost};

@@ -11,9 +11,9 @@
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
+use sdr_core::table::{RecvCqe, RecvStats, SlotPost};
+
 use crate::engine::{DpaConfig, DpaEngine};
-use crate::ring::DpaCqe;
-use crate::table::ProcessStats;
 
 /// Loopback benchmark parameters.
 #[derive(Clone, Copy, Debug)]
@@ -37,9 +37,10 @@ pub struct LoopbackConfig {
     /// Generator RNG seed.
     pub seed: u64,
     /// Batched repost: the host retires every completed in-flight slot per
-    /// drain and reposts them in one [`DpaMsgTable::post_batch`] sweep
-    /// (bitmap recycling included). `false` reproduces the one-at-a-time
-    /// `post` baseline for A/B runs.
+    /// drain and reposts them in one
+    /// [`post_batch`](sdr_core::table::RecvTable::post_batch) sweep (bitmap
+    /// recycling included). `false` reproduces the one-at-a-time `post`
+    /// baseline for A/B runs.
     pub batch_repost: bool,
 }
 
@@ -75,7 +76,7 @@ pub struct ThroughputReport {
     /// Messages per second (repost-rate bound for small messages).
     pub msgs_per_sec: f64,
     /// Merged worker statistics.
-    pub stats: ProcessStats,
+    pub stats: RecvStats,
 }
 
 /// Runs the loopback benchmark to completion.
@@ -112,7 +113,7 @@ pub fn run_loopback(cfg: LoopbackConfig) -> ThroughputReport {
     let mut completed = 0u64;
     let mut packets = 0u64;
     // Reused batched-repost scratch (no allocation on the measured path).
-    let mut reposts: Vec<crate::table::SlotPost> = Vec::with_capacity(cfg.inflight);
+    let mut reposts: Vec<SlotPost> = Vec::with_capacity(cfg.inflight);
     let start = Instant::now();
 
     while completed < cfg.messages {
@@ -123,7 +124,7 @@ pub fn run_loopback(cfg: LoopbackConfig) -> ThroughputReport {
         while inflight.len() + reposts.len() < cfg.inflight && next_seq < cfg.messages {
             let slot = (next_seq % slots as u64) as usize;
             let generation = (next_seq / slots as u64) as u32;
-            reposts.push(crate::table::SlotPost {
+            reposts.push(SlotPost {
                 slot,
                 generation,
                 total_packets: pkts_per_msg,
@@ -144,11 +145,10 @@ pub fn run_loopback(cfg: LoopbackConfig) -> ThroughputReport {
                     continue;
                 }
                 packets += 1;
-                eng.dispatch(DpaCqe {
-                    imm: layout.encode(p.slot as u32, pkt as u32, 0),
-                    generation: p.generation,
-                    null_write: false,
-                });
+                eng.dispatch(RecvCqe::landed(
+                    layout.encode(p.slot as u32, pkt as u32, 0),
+                    p.generation,
+                ));
             }
             inflight.push_back((p.slot, p.generation));
         }
@@ -180,11 +180,10 @@ pub fn run_loopback(cfg: LoopbackConfig) -> ThroughputReport {
                     continue;
                 }
                 packets += 1;
-                eng.dispatch(DpaCqe {
-                    imm: layout.encode(slot as u32, pkt as u32, 0),
+                eng.dispatch(RecvCqe::landed(
+                    layout.encode(slot as u32, pkt as u32, 0),
                     generation,
-                    null_write: false,
-                });
+                ));
             }
         } else {
             std::hint::spin_loop();

@@ -7,24 +7,12 @@
 //! channel QPs land in separate CQs.
 
 use crossbeam::queue::ArrayQueue;
+use sdr_core::table::RecvCqe;
 use std::sync::Arc;
-
-/// A packet-completion record as seen by a DPA worker: the 32-bit transport
-/// immediate plus the generation of the delivering QP and the NULL-key flag
-/// (what a CQE-plus-QP-context gives the worker on hardware).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DpaCqe {
-    /// Transport immediate (msg id | packet offset | user fragment).
-    pub imm: u32,
-    /// Generation of the QP that delivered the packet.
-    pub generation: u32,
-    /// Payload was discarded by the NULL memory key (late packet).
-    pub null_write: bool,
-}
 
 /// A bounded MPSC completion ring (one consumer: the owning worker).
 pub struct CqeRing {
-    queue: ArrayQueue<DpaCqe>,
+    queue: ArrayQueue<RecvCqe>,
 }
 
 impl CqeRing {
@@ -37,7 +25,7 @@ impl CqeRing {
 
     /// Pushes a completion, spinning (with yields) on backpressure —
     /// the NIC-side equivalent of CQ flow control.
-    pub fn push_blocking(&self, cqe: DpaCqe) {
+    pub fn push_blocking(&self, cqe: RecvCqe) {
         let mut backoff = 0u32;
         while self.queue.push(cqe).is_err() {
             backoff += 1;
@@ -50,20 +38,20 @@ impl CqeRing {
     }
 
     /// Attempts to push without blocking.
-    pub fn try_push(&self, cqe: DpaCqe) -> bool {
+    pub fn try_push(&self, cqe: RecvCqe) -> bool {
         self.queue.push(cqe).is_ok()
     }
 
     /// Pops the next completion, if any.
-    pub fn pop(&self) -> Option<DpaCqe> {
+    pub fn pop(&self) -> Option<RecvCqe> {
         self.queue.pop()
     }
 
     /// Drains up to `budget` completions into `out`, returning how many
     /// were taken — the §3.4.2 batched poll: one drain feeds one
-    /// [`process_batch`](crate::DpaMsgTable::process_batch) pass that
+    /// [`process_batch`](sdr_core::table::RecvTable::process_batch) pass that
     /// coalesces bitmap updates and chunk publishes.
-    pub fn pop_batch(&self, out: &mut Vec<DpaCqe>, budget: usize) -> usize {
+    pub fn pop_batch(&self, out: &mut Vec<RecvCqe>, budget: usize) -> usize {
         let mut taken = 0;
         while taken < budget {
             match self.queue.pop() {
@@ -96,11 +84,7 @@ mod tests {
     fn fifo_order_single_consumer() {
         let ring = CqeRing::new(16);
         for i in 0..10u32 {
-            assert!(ring.try_push(DpaCqe {
-                imm: i,
-                generation: 0,
-                null_write: false
-            }));
+            assert!(ring.try_push(RecvCqe::landed(i, 0)));
         }
         for i in 0..10u32 {
             assert_eq!(ring.pop().unwrap().imm, i);
@@ -112,46 +96,20 @@ mod tests {
     fn bounded_capacity() {
         let ring = CqeRing::new(4);
         for i in 0..4u32 {
-            assert!(ring.try_push(DpaCqe {
-                imm: i,
-                generation: 0,
-                null_write: false
-            }));
+            assert!(ring.try_push(RecvCqe::landed(i, 0)));
         }
-        assert!(!ring.try_push(DpaCqe {
-            imm: 99,
-            generation: 0,
-            null_write: false
-        }));
+        assert!(!ring.try_push(RecvCqe::landed(99, 0)));
         ring.pop();
-        assert!(ring.try_push(DpaCqe {
-            imm: 99,
-            generation: 0,
-            null_write: false
-        }));
+        assert!(ring.try_push(RecvCqe::landed(99, 0)));
     }
 
     #[test]
     fn push_blocking_unblocks_concurrently() {
         let ring = CqeRing::new(2);
-        ring.try_push(DpaCqe {
-            imm: 0,
-            generation: 0,
-            null_write: false,
-        });
-        ring.try_push(DpaCqe {
-            imm: 1,
-            generation: 0,
-            null_write: false,
-        });
+        ring.try_push(RecvCqe::landed(0, 0));
+        ring.try_push(RecvCqe::landed(1, 0));
         let r2 = ring.clone();
-        let producer = std::thread::spawn(move || {
-            r2.push_blocking(DpaCqe {
-                imm: 2,
-                generation: 0,
-                null_write: false,
-            });
-        });
+        let producer = std::thread::spawn(move || r2.push_blocking(RecvCqe::landed(2, 0)));
         std::thread::sleep(std::time::Duration::from_millis(10));
         assert_eq!(ring.pop().unwrap().imm, 0);
         producer.join().unwrap();

@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use sdr_core::imm::ImmLayout;
-use sdr_dpa::{DpaConfig, DpaCqe, DpaEngine};
+use sdr_dpa::{DpaConfig, DpaEngine, RecvCqe};
 
 #[test]
 fn random_interleavings_with_drops_and_duplicates() {
@@ -26,7 +26,7 @@ fn random_interleavings_with_drops_and_duplicates() {
 
         // Build the stream: each packet 0–2 times (drop/dup), plus stale
         // generation noise, then shuffle.
-        let mut stream: Vec<DpaCqe> = Vec::new();
+        let mut stream: Vec<RecvCqe> = Vec::new();
         let mut expect_missing: Vec<usize> = Vec::new();
         for pkt in 0..total {
             let copies = match rng.random_range(0..10) {
@@ -38,18 +38,10 @@ fn random_interleavings_with_drops_and_duplicates() {
                 expect_missing.push(pkt);
             }
             for _ in 0..copies {
-                stream.push(DpaCqe {
-                    imm: l.encode(2, pkt as u32, 0),
-                    generation: 7,
-                    null_write: false,
-                });
+                stream.push(RecvCqe::landed(l.encode(2, pkt as u32, 0), 7));
             }
             if rng.random_range(0..20) == 0 {
-                stream.push(DpaCqe {
-                    imm: l.encode(2, pkt as u32, 0),
-                    generation: 6, // stale
-                    null_write: false,
-                });
+                stream.push(RecvCqe::landed(l.encode(2, pkt as u32, 0), 6)); // stale
             }
         }
         stream.shuffle(&mut rng);
@@ -89,11 +81,7 @@ fn parallel_messages_do_not_interfere() {
     }
     for pkt in 0..256u32 {
         for slot in 0..16u32 {
-            eng.dispatch(DpaCqe {
-                imm: l.encode(slot, pkt, 0),
-                generation: 1,
-                null_write: false,
-            });
+            eng.dispatch(RecvCqe::landed(l.encode(slot, pkt, 0), 1));
         }
     }
     for slot in 0..16 {
@@ -109,22 +97,23 @@ fn parallel_messages_do_not_interfere() {
 
 /// The batched datapath must be observationally identical to one-at-a-time
 /// processing: same stats, same missing sets — across adversarial streams
-/// mixing slots, duplicates, stale generations, nulls and bad offsets.
+/// mixing slots, duplicates, stale generations, nulls, bad offsets and
+/// failed checksum verdicts.
 #[test]
 fn process_batch_matches_single_cqe_reference() {
-    use sdr_dpa::{DpaMsgTable, ProcessStats};
+    use sdr_dpa::{RecvStats, RecvTable};
 
     for seed in 0..8u64 {
         let mut rng = SmallRng::seed_from_u64(0xBA7C + seed);
         let layout = ImmLayout::default();
-        let batched = DpaMsgTable::new(4, layout);
-        let reference = DpaMsgTable::new(4, layout);
+        let batched = RecvTable::new(4, layout);
+        let reference = RecvTable::new(4, layout);
         for t in [&batched, &reference] {
             t.post(0, 3, 500, 16); // straddles word boundaries (500 pkts)
             t.post(2, 1, 64, 64);
         }
 
-        let mut stream: Vec<DpaCqe> = Vec::new();
+        let mut stream: Vec<RecvCqe> = Vec::new();
         for _ in 0..3000 {
             let slot = *[0u32, 0, 0, 2, 3].choose(&mut rng).unwrap(); // 3 = never posted
             let (total, generation) = match slot {
@@ -138,14 +127,15 @@ fn process_batch_matches_single_cqe_reference() {
             } else {
                 generation
             };
-            stream.push(DpaCqe {
+            stream.push(RecvCqe {
                 imm: layout.encode(slot, pkt, 0),
                 generation,
                 null_write: rng.random_range(0..40) == 0,
+                crc_ok: rng.random_range(0..15) != 0,
             });
         }
 
-        let mut batch_stats = ProcessStats::default();
+        let mut batch_stats = RecvStats::default();
         // Random batch boundaries, including batches of 1.
         let mut i = 0;
         while i < stream.len() {
@@ -153,12 +143,16 @@ fn process_batch_matches_single_cqe_reference() {
             batched.process_batch(&stream[i..end], &mut batch_stats);
             i = end;
         }
-        let mut ref_stats = ProcessStats::default();
+        let mut ref_stats = RecvStats::default();
         for &cqe in &stream {
             reference.process(cqe, &mut ref_stats);
         }
 
         assert_eq!(batch_stats, ref_stats, "seed {seed}");
+        assert!(
+            ref_stats.corrupt > 0,
+            "seed {seed}: verdict stage exercised"
+        );
         for slot in [0usize, 2] {
             assert_eq!(
                 batched.missing_packets(slot),
@@ -185,7 +179,7 @@ fn batch_budget_does_not_change_outcomes() {
         let total = 2048usize;
         eng.table().post(1, 2, total, 16);
         let mut rng = SmallRng::seed_from_u64(77);
-        let mut stream: Vec<DpaCqe> = Vec::new();
+        let mut stream: Vec<RecvCqe> = Vec::new();
         let mut expect_missing: Vec<usize> = Vec::new();
         for pkt in 0..total {
             let copies = match rng.random_range(0..10) {
@@ -197,11 +191,7 @@ fn batch_budget_does_not_change_outcomes() {
                 expect_missing.push(pkt);
             }
             for _ in 0..copies {
-                stream.push(DpaCqe {
-                    imm: l.encode(1, pkt as u32, 0),
-                    generation: 2,
-                    null_write: false,
-                });
+                stream.push(RecvCqe::landed(l.encode(1, pkt as u32, 0), 2));
             }
         }
         stream.shuffle(&mut rng);
@@ -260,17 +250,10 @@ fn batched_repost_races_with_workers() {
         // previous epoch that must be filtered by the recycled slots.
         for pkt in 0..total as u32 {
             for slot in 0..4u32 {
-                eng.dispatch(DpaCqe {
-                    imm: l.encode(slot, pkt, 0),
-                    generation: gen,
-                    null_write: false,
-                });
+                eng.dispatch(RecvCqe::landed(l.encode(slot, pkt, 0), gen));
                 if gen > 0 && pkt % 64 == 0 {
-                    eng.dispatch(DpaCqe {
-                        imm: l.encode(slot, pkt, 0),
-                        generation: gen - 1, // stale
-                        null_write: false,
-                    });
+                    eng.dispatch(RecvCqe::landed(l.encode(slot, pkt, 0), gen - 1));
+                    // stale
                 }
             }
         }

@@ -201,12 +201,17 @@
 //!      (`SdrConfig::payload_checksums`, on by default). The simulated
 //!      NIC verifies it *before* the DMA commits, exactly like a real
 //!      NIC's ICRC check: a corrupt payload never reaches memory (the
-//!      `crc_skipped` NIC stat), its bitmap bit stays clear, and the
-//!      scheme machinery — SR NACK/RTO, GBN rewind, EC parity — repairs
-//!      it as an ordinary loss. The [`ChannelEstimator`] consequently
-//!      *sees* corruption as loss, so the adaptive controller reacts to a
-//!      corrupting channel the same way it reacts to a lossy one: by
-//!      handing over to a stronger scheme.
+//!      `crc_skipped` NIC stat) and the completion carries the failed
+//!      verdict — unless the destination already holds the claimed
+//!      bytes, which makes it a harmless duplicate. The receive table
+//!      leaves a failed packet's bitmap bit clear (`payload_corrupt`),
+//!      and the scheme machinery — SR NACK/RTO, GBN rewind, EC parity —
+//!      repairs it as an ordinary loss. The receiver never reads landed
+//!      bytes back: the header CRC the NIC vouched for is the arrival CRC
+//!      that layer 3 audits against. The [`ChannelEstimator`]
+//!      consequently *sees* corruption as loss, so the adaptive
+//!      controller reacts to a corrupting channel the same way it reacts
+//!      to a lossy one: by handing over to a stronger scheme.
 //!   3. **EC receivers audit shard checksums before decode** — a decoder
 //!      fed a stale chunk would launder corruption into k clean-looking
 //!      outputs — demoting stale chunks to absent, decoding around them

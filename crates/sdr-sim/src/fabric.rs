@@ -736,6 +736,7 @@ impl Fabric {
                                 op: CqeOp::SendComplete,
                                 imm: None,
                                 crc: None,
+                                crc_ok: true,
                                 byte_len,
                                 src: None,
                                 wr_id,

@@ -68,6 +68,10 @@ pub struct Cqe {
     /// Sender-computed payload checksum carried by the packet, if any
     /// (transport-header content; see [`WriteWr::crc`](crate::WriteWr)).
     pub crc: Option<u32>,
+    /// The NIC's checksum verdict, as a real NIC reports an ICRC failure:
+    /// the destination holds bytes matching [`crc`](Self::crc). Always
+    /// true when no checksum was carried.
+    pub crc_ok: bool,
     /// Bytes written/received.
     pub byte_len: u32,
     /// Source QP (receive completions).
@@ -177,8 +181,8 @@ pub struct NodeStats {
     pub null_writes: u64,
     /// Write packets whose carried payload checksum failed verification:
     /// the DMA is suppressed — like an ICRC failure, the corrupt bytes
-    /// never reach memory — but the CQE still flows so the verbs layer
-    /// observes the mismatch and treats the packet as lost.
+    /// never reach memory — but the CQE still flows, carrying the
+    /// checksum verdict, so the verbs layer can treat the packet as lost.
     pub crc_skipped: u64,
     /// Packets dropped due to memory-key faults.
     pub access_faults: u64,
@@ -424,6 +428,7 @@ impl Node {
                 op: CqeOp::RecvSend,
                 imm,
                 crc: None,
+                crc_ok: true,
                 byte_len: n as u32,
                 src: Some(pkt.src),
                 wr_id: wqe.wr_id,
@@ -457,21 +462,29 @@ impl Node {
                         // fails the check never reaches memory (a corrupt
                         // duplicate must not overwrite clean bytes whose
                         // bitmap bit is already set). The CQE still flows
-                        // carrying the claimed checksum: the verbs layer
-                        // compares it against what memory actually holds,
-                        // sees the mismatch, and leaves the packet's bit
-                        // clear — corruption becomes loss.
-                        if crc.is_none_or(|c| sdr_erasure::crc32c(&pkt.payload) == c) {
+                        // with the verdict; a failed one leaves the
+                        // packet's bit clear — corruption becomes loss.
+                        let clean = crc.is_none_or(|c| sdr_erasure::crc32c(&pkt.payload) == c);
+                        if clean {
                             self.mem.write(addr, &pkt.payload);
                             self.stats.writes_landed += 1;
                         } else {
                             self.stats.crc_skipped += 1;
                         }
-                        self.complete_write(eng, pkt.dst.qp, imm, crc, len as u32, pkt.src, false);
+                        // Cold path, corrupt packets only: when the
+                        // destination already holds the claimed bytes (a
+                        // clean copy landed earlier) the packet is an
+                        // intact duplicate as far as memory is concerned.
+                        let crc_ok = clean || self.holds(addr, len, crc);
+                        self.complete_write(
+                            eng, pkt.dst.qp, imm, crc, crc_ok, len as u32, pkt.src, false,
+                        );
                     }
                     Ok(Resolved::Null) => {
                         self.stats.null_writes += 1;
-                        self.complete_write(eng, pkt.dst.qp, imm, crc, len as u32, pkt.src, true);
+                        self.complete_write(
+                            eng, pkt.dst.qp, imm, crc, true, len as u32, pkt.src, true,
+                        );
                     }
                     Err(_) => self.fault(),
                 }
@@ -524,11 +537,17 @@ impl Node {
                         let total = received + len as u32;
                         if seg == WriteSeg::Last {
                             self.qps[qp_idx].recv_state = UcRecvState::Idle;
+                            // A multi-packet message's checksum covers the
+                            // whole message, so it is checked once landed.
+                            let crc_ok = cursor.is_none_or(|addr| {
+                                self.holds(addr - received as u64, total as u64, crc)
+                            });
                             self.complete_write(
                                 eng,
                                 pkt.dst.qp,
                                 imm,
                                 crc,
+                                crc_ok,
                                 total,
                                 pkt.src,
                                 cursor.is_none(),
@@ -553,12 +572,20 @@ impl Node {
         }
     }
 
+    /// True when `len` bytes of memory at `addr` match `crc` (vacuously
+    /// when no checksum was carried).
+    fn holds(&self, addr: u64, len: u64, crc: Option<u32>) -> bool {
+        crc.is_none_or(|c| sdr_erasure::crc32c(self.mem.read(addr, len as usize)) == c)
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn complete_write(
         &mut self,
         eng: &mut Engine,
         qp: QpNum,
         imm: Option<u32>,
         crc: Option<u32>,
+        crc_ok: bool,
         byte_len: u32,
         src: QpAddr,
         null_write: bool,
@@ -575,6 +602,7 @@ impl Node {
                     op: CqeOp::RecvWriteImm,
                     imm: Some(imm),
                     crc,
+                    crc_ok,
                     byte_len,
                     src: Some(src),
                     wr_id: 0,
@@ -602,11 +630,11 @@ impl Node {
             Ok(Resolved::Addr(addr)) => {
                 self.mem.write(addr, payload);
                 self.stats.writes_landed += 1;
-                self.complete_write(eng, qp, imm, None, payload.len() as u32, src, false);
+                self.complete_write(eng, qp, imm, None, true, payload.len() as u32, src, false);
             }
             Ok(Resolved::Null) => {
                 self.stats.null_writes += 1;
-                self.complete_write(eng, qp, imm, None, payload.len() as u32, src, true);
+                self.complete_write(eng, qp, imm, None, true, payload.len() as u32, src, true);
             }
             Err(_) => self.fault(),
         }
@@ -675,6 +703,36 @@ mod tests {
         assert_eq!(cqe.imm, Some(42));
         assert_eq!(cqe.byte_len, 5);
         assert!(!cqe.null_write);
+    }
+
+    #[test]
+    fn checksum_verdict_reports_what_memory_holds() {
+        let (mut n, qp, cq, mr) = mk_node();
+        let mut eng = Engine::new();
+        let claimed = sdr_erasure::crc32c(b"clean");
+        let mut verdict = |n: &mut Node, offset: u64, data: &[u8], crc: Option<u32>| {
+            let mut pkt = write_pkt(qp, 0, WriteSeg::Only, mr.mkey, offset, data, Some(1));
+            if let PacketKind::Write { crc: c, .. } = &mut pkt.kind {
+                *c = crc;
+            }
+            n.handle_packet(&mut eng, pkt);
+            n.poll_cq(cq).expect("cqe").crc_ok
+        };
+        // Clean packet: verified before the DMA, lands.
+        assert!(verdict(&mut n, 0, b"clean", Some(claimed)));
+        assert_eq!(n.mem().read(mr.addr, 5), b"clean");
+        // Corrupt packet over different bytes: skipped, not ok.
+        assert!(!verdict(&mut n, 8, b"cleaN", Some(claimed)));
+        assert_eq!(n.stats().crc_skipped, 1);
+        assert_eq!(n.mem().read(mr.addr + 8, 5), [0; 5]);
+        // Corrupt duplicate over memory already holding the claimed
+        // bytes: still skipped, but memory matches the header CRC.
+        assert!(verdict(&mut n, 0, b"cleaN", Some(claimed)));
+        assert_eq!(n.stats().crc_skipped, 2);
+        assert_eq!(n.mem().read(mr.addr, 5), b"clean");
+        // No checksum carried: nothing to fail.
+        assert!(verdict(&mut n, 16, b"plain", None));
+        assert_eq!(n.mem().read(mr.addr + 16, 5), b"plain");
     }
 
     #[test]
