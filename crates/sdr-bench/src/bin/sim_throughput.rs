@@ -167,8 +167,8 @@ fn transfer(kind: QueueKind, msg: u64) -> TransferOutcome {
     };
     let link = LinkConfig::wan(100.0, 400e9, 1e-4).with_seed(7);
     let mut p = sdr_pair(link, cfg, (msg as usize) * 2 + (64 << 20));
-    // The pair's engine is fresh (nothing scheduled during setup): pin the
-    // backend explicitly so the A/B does not depend on SDR_SIM_QUEUE.
+    // The pair's engine is fresh (nothing scheduled during setup): swap
+    // in an engine on the backend under test.
     assert_eq!(p.eng.pending_events(), 0);
     p.eng = Engine::with_queue(kind);
     let rtt = p.fabric.rtt(p.node_a, p.node_b).unwrap();
@@ -224,11 +224,10 @@ fn main() {
     // the A/B honest: production runs trace, so the bench traces.)
     set_trace_enabled(true);
     let smoke = std::env::var_os("SDR_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty());
-    let env_kind = Engine::new().queue_kind();
     println!("# Simulator throughput — timing wheel vs binary heap");
     println!(
-        "default backend (SDR_SIM_QUEUE): {}; smoke: {smoke}",
-        kind_label(env_kind)
+        "default backend: {}; smoke: {smoke}",
+        kind_label(Engine::new().queue_kind())
     );
 
     // Loaded-queue microbench. The load approximates a large fabric's

@@ -10,6 +10,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use crate::ec::EcCodeChoice;
 use crate::runtime::{AbortReason, DeliveryManifest};
 
 /// Maximum selective-ACK window carried per ACK (bits). Chosen so the whole
@@ -105,6 +106,15 @@ impl SchemeSpec {
     /// True for erasure-coding specs.
     pub fn is_ec(&self) -> bool {
         matches!(self, SchemeSpec::EcMds { .. } | SchemeSpec::EcXor { .. })
+    }
+
+    /// The code family and `(k, m)` geometry of an erasure-coding spec.
+    pub(crate) fn ec_shape(&self) -> Option<(EcCodeChoice, usize, usize)> {
+        match *self {
+            SchemeSpec::EcMds { k, m } => Some((EcCodeChoice::Mds, k as usize, m as usize)),
+            SchemeSpec::EcXor { k, m } => Some((EcCodeChoice::Xor, k as usize, m as usize)),
+            _ => None,
+        }
     }
 
     fn encode_into(&self, b: &mut BytesMut) {
@@ -493,7 +503,13 @@ impl CtrlMsg {
                 let sack_len = buf.get_u32_le();
                 let n_words = buf.get_u16_le() as usize;
                 let n_nacks = buf.get_u16_le() as usize;
-                if buf.remaining() < n_words * 8 + n_nacks * 4 {
+                // A window longer than its bit words (or than any encoder
+                // emits) is malformed even under a valid CRC trailer: the
+                // peer computed the trailer over the bad frame.
+                if sack_len as usize > MAX_SACK_BITS
+                    || sack_len as usize > n_words * 64
+                    || buf.remaining() < n_words * 8 + n_nacks * 4
+                {
                     return None;
                 }
                 let sack_bits = (0..n_words).map(|_| buf.get_u64_le()).collect();
@@ -934,6 +950,35 @@ mod tests {
         .to_vec();
         enc.truncate(6);
         assert_eq!(CtrlMsg::decode(Bytes::from(enc)), None);
+    }
+
+    #[test]
+    fn sr_ack_window_longer_than_its_bits_is_malformed() {
+        // An SR ACK frame whose header claims `sack_len` window bits.
+        let frame = |sack_bits: Vec<u64>, sack_len: u32| {
+            let mut b = CtrlMsg::SrAck {
+                cumulative: 0,
+                window_start: 0,
+                sack_bits,
+                sack_len: 0,
+                nacks: vec![],
+            }
+            .encode()
+            .to_vec();
+            b[9..13].copy_from_slice(&sack_len.to_le_bytes());
+            CtrlMsg::decode(Bytes::from(b))
+        };
+        assert_eq!(frame(vec![], 5), None);
+        assert_eq!(frame(vec![u64::MAX], 65), None);
+        let words = vec![u64::MAX; MAX_SACK_BITS / 64 + 1];
+        assert_eq!(
+            frame(words, MAX_SACK_BITS as u32 + 1),
+            None,
+            "no encoder emits it"
+        );
+        // The boundaries themselves are well-formed.
+        assert!(frame(vec![u64::MAX], 64).is_some());
+        assert!(frame(vec![], 0).is_some());
     }
 
     #[test]

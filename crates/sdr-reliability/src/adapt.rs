@@ -69,7 +69,7 @@ use sdr_sim::{Engine, EventKind, Gauge, QpAddr, SimTime, TimerHandle};
 use crate::ack::{CtrlMsg, SchemeSpec};
 use crate::advisor::{self, Scheme};
 use crate::control::{ControlEndpoint, CtrlHandler, CtrlPath};
-use crate::ec::{EcCodeChoice, EcProtoConfig, EcReceiver, EcSender};
+use crate::ec::{EcProtoConfig, EcReceiver, EcSender};
 use crate::gbn::{GbnProtoConfig, GbnReceiver, GbnSender};
 use crate::runtime::{tick_loop, AbortReason, Completion, DeliveryManifest, Tick, TransferOutcome};
 use crate::sr::{SrProtoConfig, SrReceiver, SrSender};
@@ -364,11 +364,7 @@ fn sr_proto(spec: &SchemeSpec, cfg: &AdaptConfig) -> SrProtoConfig {
 }
 
 fn ec_proto(spec: &SchemeSpec, cfg: &AdaptConfig, qp: &SdrQp, seg_bytes: u64) -> EcProtoConfig {
-    let (k, m, code) = match *spec {
-        SchemeSpec::EcMds { k, m } => (k as usize, m as usize, EcCodeChoice::Mds),
-        SchemeSpec::EcXor { k, m } => (k as usize, m as usize, EcCodeChoice::Xor),
-        _ => unreachable!("ec_proto called for an EC spec"),
-    };
+    let (code, k, m) = spec.ec_shape().expect("ec_proto called for an EC spec");
     let ch = cfg.channel(qp, 0.0);
     let mut p = EcProtoConfig::for_channel(k, m, code, &ch, seg_bytes, cfg.rtt);
     p.linger_acks = cfg.linger_acks;
@@ -428,9 +424,8 @@ struct PendingSwitch {
     resent: bool,
 }
 
-/// Keeps a live segment's protocol object alive; its callbacks drive
-/// everything, so the handle itself is never read.
-#[allow(dead_code)]
+/// A live segment's scheme sender: its callbacks drive the transfer; the
+/// handle is kept to abort it.
 enum SegSender {
     Sr(SrSender),
     Ec(EcSender),
@@ -440,7 +435,6 @@ enum SegSender {
 struct TxSeg {
     epoch: u32,
     gate: Rc<EpochGate>,
-    #[allow(dead_code)]
     sender: SegSender,
 }
 
@@ -1576,8 +1570,6 @@ impl SegReceiver {
 
 struct RxSeg {
     epoch: u32,
-    #[allow(dead_code)]
-    gate: Rc<EpochGate>,
     recv: SegReceiver,
     complete: bool,
 }
@@ -1984,7 +1976,7 @@ impl AdaptiveController {
                 i.est.clone(),
             )
         };
-        let path: Rc<dyn CtrlPath> = gate.clone();
+        let path: Rc<dyn CtrlPath> = gate;
         let recv = match spec {
             SchemeSpec::SrRto | SchemeSpec::SrNack => {
                 let proto = sr_proto(&spec, &cfg);
@@ -2032,7 +2024,6 @@ impl AdaptiveController {
         };
         inner.borrow_mut().live.push(RxSeg {
             epoch,
-            gate,
             recv,
             complete: false,
         });

@@ -42,11 +42,12 @@
 //! latency on multi-core hosts.
 
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sdr_core::{SdrContext, SdrQp, SendHandle};
+use sdr_core::{SdrContext, SdrQp, SendHandle, TwoLevelBitmap};
 use sdr_erasure::{EncodeJob, EncodePool, ErasureCode, PendingEncode, ReedSolomon, XorCode};
 use sdr_sim::{Engine, QpAddr, SimTime};
 
@@ -58,7 +59,7 @@ use crate::runtime::{
 use crate::telemetry::ChannelEstimator;
 
 /// Which erasure code protects the submessages.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum EcCodeChoice {
     /// Reed–Solomon MDS: any ≤ m chunk drops per submessage recoverable.
     Mds,
@@ -161,31 +162,38 @@ fn geometry(total_chunks: u64, k: usize, m: usize, code: EcCodeChoice) -> Vec<Su
         .collect()
 }
 
-fn make_code(choice: EcCodeChoice, k_eff: usize, m_eff: usize) -> Arc<dyn ErasureCode> {
+fn make_code(choice: EcCodeChoice, k: usize, m: usize) -> Arc<dyn ErasureCode> {
     match choice {
-        EcCodeChoice::Mds => Arc::new(ReedSolomon::new(k_eff, m_eff)),
-        EcCodeChoice::Xor => Arc::new(XorCode::new(k_eff, m_eff)),
+        EcCodeChoice::Mds => Arc::new(ReedSolomon::new(k, m)),
+        EcCodeChoice::Xor => Arc::new(XorCode::new(k, m)),
     }
 }
 
-/// One shared code instance per distinct `(k_eff, m_eff)` shape — a message
-/// has at most two (full submessages and the tail), and building a
-/// [`ReedSolomon`] involves a Vandermonde construction plus a matrix
-/// inversion that must not run per submessage, let alone per bitmap poll.
-/// (`Arc`, not `Rc`: the sender ships codes to the encode pool's workers.)
+/// One shared code instance per distinct `(family, k, m)` shape: building
+/// a [`ReedSolomon`] involves a Vandermonde construction plus a matrix
+/// inversion that must not run per submessage (or per flow), let alone per
+/// bitmap poll. (`Arc`, not `Rc`: senders ship codes to the encode pool's
+/// workers.)
+#[derive(Default)]
+pub(crate) struct CodeCache(HashMap<(EcCodeChoice, usize, usize), Arc<dyn ErasureCode>>);
+
+impl CodeCache {
+    /// The code for `k` data and `m` parity chunks, built on first use.
+    pub(crate) fn get(&mut self, choice: EcCodeChoice, k: usize, m: usize) -> Arc<dyn ErasureCode> {
+        self.0
+            .entry((choice, k, m))
+            .or_insert_with(|| make_code(choice, k, m))
+            .clone()
+    }
+}
+
+/// The code of every submessage — a message has at most two shapes (full
+/// submessages and the tail), so it builds at most two codes.
 fn codes_for(choice: EcCodeChoice, geoms: &[SubGeom]) -> Vec<Arc<dyn ErasureCode>> {
-    let mut cache: Vec<((usize, usize), Arc<dyn ErasureCode>)> = Vec::new();
+    let mut cache = CodeCache::default();
     geoms
         .iter()
-        .map(|g| {
-            let shape = (g.k_eff, g.m_eff);
-            if let Some((_, c)) = cache.iter().find(|(s, _)| *s == shape) {
-                return c.clone();
-            }
-            let c = make_code(choice, g.k_eff, g.m_eff);
-            cache.push((shape, c.clone()));
-            c
-        })
+        .map(|g| cache.get(choice, g.k_eff, g.m_eff))
         .collect()
 }
 
@@ -226,7 +234,7 @@ impl BufPool {
 /// Reusable staging for the EC hot paths. Chunk-sized buffers are rented
 /// for the duration of one decode (or one submessage encode) and returned,
 /// so the steady state performs no per-chunk heap allocation; presence
-/// flags live in retained `Vec`s that are cleared, never reallocated.
+/// flags live in a retained `Vec` that is cleared, never reallocated.
 /// Loss-path decodes rent their missing-shard buffers from the same pool
 /// through [`ErasureCode::reconstruct_into`], so even the reconstruction
 /// of dropped chunks allocates nothing once the pool is warm.
@@ -235,11 +243,10 @@ pub struct EcScratch {
     /// The chunk-buffer pool decode rents from.
     pub(crate) pool: BufPool,
     /// Shard table reused across decodes.
-    pub(crate) shards: Vec<Option<Vec<u8>>>,
-    /// Per-chunk presence flags reused across polls.
-    pub(crate) data_present: Vec<bool>,
-    pub(crate) parity_present: Vec<bool>,
-    pub(crate) present: Vec<bool>,
+    shards: Vec<Option<Vec<u8>>>,
+    /// Per-shard presence flags (data chunks, then parity) reused across
+    /// polls.
+    present: Vec<bool>,
 }
 
 impl EcScratch {
@@ -254,21 +261,133 @@ impl EcScratch {
         }
     }
 
-    /// Rents a zeroed `len`-byte buffer, reusing a pooled one when
-    /// available.
-    pub(crate) fn take(&mut self, len: usize) -> Vec<u8> {
-        self.pool.take(len)
-    }
-
-    /// Returns a buffer to the pool (dropped when the pool is at cap).
-    pub(crate) fn put(&mut self, b: Vec<u8>) {
-        self.pool.put(b);
-    }
-
     /// Buffers currently pooled (test observability).
     pub fn pooled(&self) -> usize {
         self.pool.free.len()
     }
+
+    /// Resolves one submessage — the receive half every EC receiver shares
+    /// (the [`EcReceiver`] per submessage, the flow engine per EC flow):
+    /// scans both bitmaps for present chunks, audits them when `audit` is
+    /// given, and, if a data chunk is missing, decodes in place — stages
+    /// the present shards in pooled buffers, reconstructs, writes the
+    /// rebuilt data chunks back and returns every buffer to the pool.
+    /// Returns the outcome and the number of chunks the audit demoted;
+    /// after [`EcResolution::Pending`], [`data_present`](Self::data_present)
+    /// holds the audited presence of the data chunks.
+    ///
+    /// `audit(parity, chunk, bytes)` re-checks a present chunk's bytes
+    /// against the CRCs recorded when its packets landed. Under payload
+    /// checksums a set bit only proves a clean packet landed *once* — a
+    /// corrupted duplicate may have overwritten it since — so the audit
+    /// demotes a stale chunk to absent before any decision reads the
+    /// flags: stale bytes never feed a decode or resolve a submessage.
+    pub(crate) fn resolve(
+        &mut self,
+        ctx: &SdrContext,
+        sub: &EcSubmsg<'_>,
+        audit: Option<ChunkAudit<'_>>,
+    ) -> (EcResolution, u64) {
+        let (k, m, chunk_len) = (sub.k, sub.m, sub.chunk_bytes as usize);
+        // Shard `c` is data chunk `c` below `k`, parity chunk `c - k` above.
+        let addr = |c: usize| match c.checked_sub(k) {
+            None => sub.data_addr + c as u64 * sub.chunk_bytes,
+            Some(p) => sub.parity_addr + p as u64 * sub.chunk_bytes,
+        };
+        // Word-level scans (one atomic load per 64 chunks) into the
+        // retained flags: the no-loss steady state allocates nothing.
+        if audit.is_none() && sub.data_bm.chunks().first_n_set(k) {
+            return (EcResolution::Complete, 0);
+        }
+        self.present.clear();
+        self.present.resize(k + m, true);
+        let (data, parity) = self.present.split_at_mut(k);
+        let (data_bm, parity_bm) = (sub.data_bm.chunks(), sub.parity_bm.chunks());
+        data_bm.for_each_missing_in_first_n(k, |c| data[c] = false);
+        parity_bm.for_each_missing_in_first_n(m, |c| parity[c] = false);
+        let mut stale = 0;
+        if let Some(verify) = audit {
+            let mut b = self.pool.take(chunk_len);
+            for c in 0..k + m {
+                if self.present[c] {
+                    ctx.read_buffer_into(addr(c), &mut b);
+                    let ok = match c.checked_sub(k) {
+                        None => verify(false, c, &b),
+                        Some(p) => verify(true, p, &b),
+                    };
+                    if !ok {
+                        self.present[c] = false;
+                        stale += 1;
+                    }
+                }
+            }
+            self.pool.put(b);
+            if self.data_present(k).iter().all(|&p| p) {
+                return (EcResolution::Complete, stale);
+            }
+        }
+        if !sub.code.can_recover(&self.present) {
+            return (EcResolution::Pending, stale);
+        }
+        debug_assert!(self.shards.is_empty());
+        for c in 0..k + m {
+            let shard = self.present[c].then(|| {
+                let mut b = self.pool.take(chunk_len);
+                ctx.read_buffer_into(addr(c), &mut b);
+                b
+            });
+            self.shards.push(shard);
+        }
+        // Missing shards are rebuilt into buffers rented from the same
+        // pool, so the loss path allocates nothing once the pool is warm.
+        let EcScratch { pool, shards, .. } = self;
+        sub.code
+            .reconstruct_into(shards, &mut |len| pool.take(len))
+            .expect("can_recover checked");
+        for c in (0..k).filter(|&c| !self.present[c]) {
+            ctx.write_buffer(addr(c), self.shards[c].as_ref().expect("reconstructed"));
+        }
+        // Every staged buffer (rebuilt ones included) goes back to the
+        // pool; the table keeps its capacity.
+        for b in self.shards.drain(..).flatten() {
+            self.pool.put(b);
+        }
+        (EcResolution::Decoded, stale)
+    }
+
+    /// Audited presence of the first `k` data chunks of the submessage
+    /// [`resolve`](Self::resolve) last left [`EcResolution::Pending`].
+    pub(crate) fn data_present(&self, k: usize) -> &[bool] {
+        &self.present[..k]
+    }
+}
+/// Where one EC submessage lives: `k` data chunks from `data_addr` and `m`
+/// parity chunks from `parity_addr`, each `chunk_bytes` long, plus the
+/// bitmaps that record their arrival.
+pub(crate) struct EcSubmsg<'a> {
+    pub(crate) code: &'a dyn ErasureCode,
+    pub(crate) k: usize,
+    pub(crate) m: usize,
+    pub(crate) chunk_bytes: u64,
+    pub(crate) data_addr: u64,
+    pub(crate) parity_addr: u64,
+    pub(crate) data_bm: &'a TwoLevelBitmap,
+    pub(crate) parity_bm: &'a TwoLevelBitmap,
+}
+
+/// `audit(parity, chunk, bytes)`: whether a present data (or parity) chunk's
+/// bytes still match the CRCs recorded when its packets landed.
+pub(crate) type ChunkAudit<'a> = &'a mut dyn FnMut(bool, usize, &[u8]) -> bool;
+
+/// What one [`EcScratch::resolve`] call made of a submessage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum EcResolution {
+    /// Every data chunk landed (and passed the audit): nothing to decode.
+    Complete,
+    /// Missing or stale data chunks were rebuilt from parity in place.
+    Decoded,
+    /// Too few clean chunks so far.
+    Pending,
 }
 
 /// Sender-side transfer outcome.
@@ -662,11 +781,8 @@ struct EcRxScheme {
     geoms: Vec<SubGeom>,
     /// One code instance per submessage, shared across identical shapes.
     codes: Vec<Arc<dyn ErasureCode>>,
-    /// Pooled shard staging for the decode hot path. Shared: a
-    /// [`FlowManager`](crate::flow::FlowManager) (or any other multi-flow
-    /// host) hands every receiver the *same* scratch so concurrent flows
-    /// rent from one warm pool instead of each growing their own.
-    scratch: Rc<RefCell<EcScratch>>,
+    /// Pooled shard staging for the decode hot path.
+    scratch: EcScratch,
     parity_addrs: Vec<u64>,
     resolved: Vec<bool>,
     fto_deadline: Option<SimTime>,
@@ -709,9 +825,8 @@ impl RxScheme for EcRxScheme {
 impl EcRxScheme {
     fn poll_once(&mut self, eng: &mut Engine, rx: &mut RxCommon) {
         let mut any_packet = false;
-        let chunk_len = self.chunk_bytes as usize;
         let l = self.geoms.len();
-        let scratch = &mut *self.scratch.borrow_mut();
+        let audit = rx.payload_checksums();
         for s in 0..l {
             if self.resolved[s] {
                 continue;
@@ -727,142 +842,28 @@ impl EcRxScheme {
             // suite's heavy-loss rows exercise.
             any_packet |= rx.heal_cts(eng, s, &data_bm);
             any_packet |= rx.heal_cts(eng, l + s, &parity_bm);
-            // Word-level scans (one atomic load per 64 chunks, like the SR
-            // ACK path) and retained scratch vectors: the no-loss steady
-            // state allocates nothing and touches no per-chunk atomics.
-            // Under payload checksums the shortcut is not sound — a set
-            // bit only proves a clean packet landed *once*; a corrupted
-            // duplicate may have overwritten it since — so every present
-            // chunk goes through the arrival-CRC audit below instead.
-            let audit = rx.payload_checksums();
-            if !audit && data_bm.chunks().first_n_set(g.k_eff) {
-                self.resolved[s] = true;
-                self.stats.complete_submessages += 1;
-                continue;
+            let sub = EcSubmsg {
+                code: &*self.codes[s],
+                k: g.k_eff,
+                m: g.m_eff,
+                chunk_bytes: self.chunk_bytes,
+                data_addr: self.buf_addr + g.chunk_start * self.chunk_bytes,
+                parity_addr: self.parity_addrs[s],
+                data_bm: &data_bm,
+                parity_bm: &parity_bm,
+            };
+            let mut verify = |parity: bool, c: usize, b: &[u8]| {
+                rx.verify_chunk(if parity { l + s } else { s }, c, b)
+            };
+            let audit = audit.then_some(&mut verify as ChunkAudit);
+            let (outcome, stale) = self.scratch.resolve(&self.ctx, &sub, audit);
+            self.stats.stale_chunks += stale;
+            match outcome {
+                EcResolution::Complete => self.stats.complete_submessages += 1,
+                EcResolution::Decoded => self.stats.decoded_submessages += 1,
+                EcResolution::Pending => continue,
             }
-            scratch.data_present.clear();
-            scratch.data_present.resize(g.k_eff, true);
-            let flags = &mut scratch.data_present;
-            data_bm
-                .chunks()
-                .for_each_missing_in_first_n(g.k_eff, |c| flags[c] = false);
-            scratch.parity_present.clear();
-            scratch.parity_present.resize(g.m_eff, true);
-            let flags = &mut scratch.parity_present;
-            parity_bm
-                .chunks()
-                .for_each_missing_in_first_n(g.m_eff, |c| flags[c] = false);
-            // Arrival-CRC audit: read each present chunk back and compare
-            // against the CRCs recorded when its packets landed. A
-            // mismatch means a corrupted duplicate overwrote the chunk
-            // after its bits were set — demote it to absent *before* any
-            // decision reads the presence flags, so stale bytes never
-            // feed a decode and never silently resolve a submessage.
-            if audit {
-                let mut b = scratch.take(chunk_len);
-                for c in 0..g.k_eff {
-                    if scratch.data_present[c] {
-                        self.ctx.read_buffer_into(
-                            self.buf_addr + (g.chunk_start + c as u64) * self.chunk_bytes,
-                            &mut b,
-                        );
-                        if !rx.verify_chunk(s, c, &b) {
-                            scratch.data_present[c] = false;
-                            self.stats.stale_chunks += 1;
-                        }
-                    }
-                }
-                for c in 0..g.m_eff {
-                    if scratch.parity_present[c] {
-                        self.ctx.read_buffer_into(
-                            self.parity_addrs[s] + c as u64 * self.chunk_bytes,
-                            &mut b,
-                        );
-                        if !rx.verify_chunk(l + s, c, &b) {
-                            scratch.parity_present[c] = false;
-                            self.stats.stale_chunks += 1;
-                        }
-                    }
-                }
-                scratch.put(b);
-                // The audited equivalent of the `first_n_set` shortcut:
-                // every data chunk landed and still matches its arrival
-                // CRCs — no decode needed.
-                if scratch.data_present.iter().all(|&p| p) {
-                    self.resolved[s] = true;
-                    self.stats.complete_submessages += 1;
-                    continue;
-                }
-            }
-            // Try in-place decoding from data + parity chunks.
-            scratch.present.clear();
-            // `present` cannot borrow `data_present`/`parity_present`
-            // directly while being extended, so split the borrows.
-            let (present, dp, pp) = (
-                &mut scratch.present,
-                &scratch.data_present,
-                &scratch.parity_present,
-            );
-            present.extend_from_slice(dp);
-            present.extend_from_slice(pp);
-            if !self.codes[s].can_recover(&scratch.present) {
-                continue;
-            }
-            // Stage present shards into pooled buffers (rented, not
-            // allocated, once the pool is warm).
-            debug_assert!(scratch.shards.is_empty());
-            for c in 0..g.k_eff {
-                if scratch.data_present[c] {
-                    let mut b = scratch.take(chunk_len);
-                    self.ctx.read_buffer_into(
-                        self.buf_addr + (g.chunk_start + c as u64) * self.chunk_bytes,
-                        &mut b,
-                    );
-                    scratch.shards.push(Some(b));
-                } else {
-                    scratch.shards.push(None);
-                }
-            }
-            for c in 0..g.m_eff {
-                if scratch.parity_present[c] {
-                    let mut b = scratch.take(chunk_len);
-                    self.ctx.read_buffer_into(
-                        self.parity_addrs[s] + c as u64 * self.chunk_bytes,
-                        &mut b,
-                    );
-                    scratch.shards.push(Some(b));
-                } else {
-                    scratch.shards.push(None);
-                }
-            }
-            {
-                // Missing shards are rebuilt into buffers rented from the
-                // same scratch pool (`reconstruct_into`), so the loss path
-                // allocates nothing once the pool is warm.
-                let EcScratch { pool, shards, .. } = scratch;
-                self.codes[s]
-                    .reconstruct_into(shards, &mut |len| pool.take(len))
-                    .expect("can_recover checked");
-            }
-            // Write recovered data chunks back into the user buffer.
-            for c in 0..g.k_eff {
-                if !scratch.data_present[c] {
-                    let shard = scratch.shards[c].as_ref().expect("reconstructed");
-                    self.ctx.write_buffer(
-                        self.buf_addr + (g.chunk_start + c as u64) * self.chunk_bytes,
-                        shard,
-                    );
-                }
-            }
-            // Return every staged buffer (including freshly reconstructed
-            // ones) to the pool for the next decode.
-            let mut staged = std::mem::take(&mut scratch.shards);
-            for b in staged.drain(..).flatten() {
-                scratch.put(b);
-            }
-            scratch.shards = staged; // retain capacity
             self.resolved[s] = true;
-            self.stats.decoded_submessages += 1;
         }
         // Arm the FTO at the first observed arrival (§4.1.2).
         if any_packet && self.fto_deadline.is_none() {
@@ -912,31 +913,6 @@ impl EcReceiver {
         telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
         done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
     ) -> EcReceiver {
-        let scratch = Rc::new(RefCell::new(EcScratch::new(cfg.k, cfg.m)));
-        Self::start_with_scratch(
-            eng, qp, ctx, ctrl, peer_ctrl, buf_addr, msg_bytes, cfg, scratch, telemetry, done,
-        )
-    }
-
-    /// [`start_with_telemetry`](Self::start_with_telemetry) decoding
-    /// through a caller-owned [`EcScratch`]. A host driving many receivers
-    /// (the flow manager, a multi-segment adaptive pipeline) passes the
-    /// same handle to all of them: decodes across transfers then rent from
-    /// one warm buffer pool instead of every transfer allocating its own.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_with_scratch(
-        eng: &mut Engine,
-        qp: &SdrQp,
-        ctx: &SdrContext,
-        ctrl: Rc<dyn CtrlPath>,
-        peer_ctrl: QpAddr,
-        buf_addr: u64,
-        msg_bytes: u64,
-        cfg: EcProtoConfig,
-        scratch: Rc<RefCell<EcScratch>>,
-        telemetry: Option<Rc<RefCell<ChannelEstimator>>>,
-        done: impl FnOnce(&mut Engine, SimTime, EcRecvStats) + 'static,
-    ) -> EcReceiver {
         let chunk_bytes = qp.config().chunk_bytes;
         assert!(msg_bytes.is_multiple_of(chunk_bytes));
         let total_chunks = msg_bytes / chunk_bytes;
@@ -970,7 +946,7 @@ impl EcReceiver {
             chunk_bytes,
             geoms,
             codes,
-            scratch,
+            scratch: EcScratch::new(cfg.k, cfg.m),
             parity_addrs,
             resolved: vec![false; l],
             fto_deadline: None,
@@ -1028,26 +1004,26 @@ mod tests {
     fn scratch_pool_reuses_buffers_and_caps_growth() {
         let mut s = EcScratch::new(4, 2);
         // Rent and return: the pool grows to what was returned...
-        let bufs: Vec<Vec<u8>> = (0..3).map(|_| s.take(64)).collect();
+        let bufs: Vec<Vec<u8>> = (0..3).map(|_| s.pool.take(64)).collect();
         assert_eq!(s.pooled(), 0);
         for b in bufs {
-            s.put(b);
+            s.pool.put(b);
         }
         assert_eq!(s.pooled(), 3);
         // ...subsequent rents come from the pool (and are re-zeroed even
         // after length changes).
-        let mut b = s.take(128);
+        let mut b = s.pool.take(128);
         assert_eq!(s.pooled(), 2);
         assert_eq!(b.len(), 128);
         assert!(b.iter().all(|&x| x == 0));
         b[0] = 0xFF;
-        s.put(b);
-        let b = s.take(16);
+        s.pool.put(b);
+        let b = s.pool.take(16);
         assert!(b.iter().all(|&x| x == 0), "rented buffers are zeroed");
-        s.put(b);
+        s.pool.put(b);
         // The cap (2·(k+m) = 12) bounds growth under decode-heavy load.
         for _ in 0..100 {
-            s.put(vec![0u8; 8]);
+            s.pool.put(vec![0u8; 8]);
         }
         assert_eq!(s.pooled(), 12);
     }

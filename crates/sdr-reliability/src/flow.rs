@@ -66,6 +66,26 @@
 //! NACK carries *missing data chunk indices* (chunk-granular §4.1.2
 //! selective repeat).
 //!
+//! ## Borrowed and flow-specific mechanisms
+//!
+//! The engine borrows every scheme mechanism from the scheme layer rather
+//! than keeping a copy:
+//!
+//! * the EC receive path is `ec.rs`'s submessage resolver (presence scan,
+//!   arrival-CRC audit under payload checksums, in-place decode), so a
+//!   landed chunk overwritten after arrival is decoded around or
+//!   re-NACKed, never delivered; codes come from `ec.rs`'s code cache;
+//! * SR ACKs go through [`ChunkTimers::absorb_sr_ack`], and every repair —
+//!   RTO expiry scan, SR NACK, EC NACK — claims through [`ChunkTimers`]
+//!   and one requeue path (`Inner::repair`);
+//! * telemetry reports become estimator deltas through
+//!   [`TelemetryCounters::advance`].
+//!
+//! What stays here is what a population needs and a single transfer does
+//! not: the [`DueIndex`] shared tick, the [`DrrArbiter`] with its urgent
+//! repair lane, slot admission with parking, the chunk-granular EC NACK,
+//! and the `TxFlow`/`RxFlow` drivers themselves.
+//!
 //! [`EncodePool`]: sdr_erasure::EncodePool
 //! [`Fabric::tx_busy_until`]: sdr_sim::Fabric::tx_busy_until
 
@@ -76,7 +96,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use sdr_core::{RecvHandle, SdrConfig, SdrContext, SdrError, SdrQp, SendHandle};
-use sdr_erasure::{EncodePool, ErasureCode, ReedSolomon, XorCode};
+use sdr_erasure::{EncodePool, ErasureCode};
 use sdr_sim::{
     Counter, Engine, EventKind, Fabric, FlightRecorder, Histogram, NodeId, QpAddr, SimTime,
     TimerHandle,
@@ -84,7 +104,7 @@ use sdr_sim::{
 
 use crate::ack::{build_sr_ack, CtrlMsg, SchemeSpec};
 use crate::control::ControlEndpoint;
-use crate::ec::EcScratch;
+use crate::ec::{ChunkAudit, CodeCache, EcResolution, EcScratch, EcSubmsg};
 use crate::runtime::{tick_loop, ChunkTimers, Tick};
 use crate::telemetry::{
     ChannelEstimator, EstimatorRegistry, FirstPassCursor, TelemetryConfig, TelemetryCounters,
@@ -317,21 +337,6 @@ impl DueIndex {
     pub fn pop(&mut self) -> Option<(SimTime, u64, FlowKey)> {
         self.heap.pop().map(|Reverse(e)| e)
     }
-
-    /// Entries queued (including stale ones awaiting lazy removal).
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when no entries are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Drops every entry.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -494,6 +499,9 @@ pub struct FlowStats {
     pub delivered: u64,
     /// Message bytes across delivered sender flows, ditto.
     pub bytes_delivered: u64,
+    /// EC chunks the receiver's arrival-CRC audit found overwritten after
+    /// landing (decoded around or re-NACKed, never delivered).
+    pub stale_chunks: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -536,6 +544,21 @@ struct TxFlow {
     stamp: u64,
     retransmits: u64,
     done: Option<Box<dyn FnOnce(&mut Engine, FlowReport)>>,
+}
+
+impl TxFlow {
+    /// Feeds the receiver's cumulative first-pass counters (a `Telemetry`
+    /// report or the closing `FlowDone`) into the flow's share of the
+    /// per-peer estimator: the per-flow watermark turns them into a delta
+    /// (the shared estimator's own absorb would conflate many flows'
+    /// counters).
+    fn absorb_telemetry(&mut self, now: SimTime, seen: u64, lost: u64) {
+        if let Some((seen, lost)) = self.last_telem.advance(TelemetryCounters { seen, lost }) {
+            let mut est = self.est.borrow_mut();
+            est.observe_packets(seen, lost);
+            est.note_progress(now);
+        }
+    }
 }
 
 struct RxFlow {
@@ -653,8 +676,8 @@ struct Inner {
     tick_next: SimTime,
     registry: EstimatorRegistry,
     /// One decode/staging scratch shared by every flow on this node.
-    scratch: Rc<RefCell<EcScratch>>,
-    codes: HashMap<(u16, u16, bool), Arc<dyn ErasureCode>>,
+    scratch: EcScratch,
+    codes: CodeCache,
     finished_tx: Vec<(Box<dyn FnOnce(&mut Engine, FlowReport)>, FlowReport)>,
     finished_rx: Vec<RxFlowDone>,
     on_rx_done: Option<Box<dyn FnMut(&mut Engine, RxFlowDone)>>,
@@ -686,7 +709,7 @@ impl FlowManager {
         let registry = EstimatorRegistry::new(cfg.telemetry, cfg.registry_max_age);
         // Scratch sized generously: flows of any supported geometry rent
         // from the same capped pool.
-        let scratch = Rc::new(RefCell::new(EcScratch::new(64, 32)));
+        let scratch = EcScratch::new(64, 32);
         let core = Rc::new(ManagerCore {
             fabric: fabric.clone(),
             ctx: SdrContext::new(fabric, node),
@@ -705,7 +728,7 @@ impl FlowManager {
                 tick_next: SimTime::MAX,
                 registry,
                 scratch,
-                codes: HashMap::new(),
+                codes: CodeCache::default(),
                 finished_tx: Vec::new(),
                 finished_rx: Vec::new(),
                 on_rx_done: None,
@@ -970,22 +993,7 @@ impl FlowManager {
                     data_seq,
                     parity_seq,
                 } => inner.on_flow_ack(core, eng, flow, data_seq, parity_seq),
-                CtrlMsg::SrAck {
-                    cumulative,
-                    window_start,
-                    sack_bits,
-                    sack_len,
-                    nacks,
-                } => inner.on_sr_ack(
-                    core,
-                    eng,
-                    flow,
-                    cumulative,
-                    window_start,
-                    &sack_bits,
-                    sack_len,
-                    &nacks,
-                ),
+                ack @ CtrlMsg::SrAck { .. } => inner.on_sr_ack(core, eng, flow, ack),
                 CtrlMsg::FlowDone { seen, lost } => inner.on_flow_done(core, eng, flow, seen, lost),
                 CtrlMsg::EcNack { failed } => inner.on_ec_nack(core, eng, flow, &failed),
                 CtrlMsg::Telemetry { seen, lost } => inner.on_telemetry(eng, flow, seen, lost),
@@ -1289,7 +1297,7 @@ impl Inner {
             TxPhase::Opening => {
                 flow.open_retries += 1;
                 if flow.open_retries > OPEN_RETRY_CAP {
-                    self.fail_open(core, eng, id);
+                    self.finish_tx(core, eng, id, false);
                     return;
                 }
                 self.stats.open_retries += 1;
@@ -1307,26 +1315,7 @@ impl Inner {
                 if !matches!(flow.spec, SchemeSpec::SrNack) {
                     return; // EC repair is NACK-driven
                 }
-                let peer = flow.peer;
-                let mut expired = 0u64;
-                let chunk = core.cfg.qp.chunk_bytes;
-                let bytes = flow.bytes;
-                let port = self.ports.get_mut(&peer).expect("port");
-                let next = flow.timers.take_expired(now, rto, |c| {
-                    let off = c as u64 * chunk;
-                    let len = chunk.min(bytes - off);
-                    port.urgent.push_back((
-                        id,
-                        WorkItem {
-                            tag: c as u32,
-                            bytes: len,
-                        },
-                    ));
-                    expired += 1;
-                });
-                flow.retransmits += expired;
-                self.stats.retransmits += expired;
-                self.trace.urgent.add(expired);
+                let next = self.repair(core, id, |t, push| t.take_expired(now, rto, push));
                 if let Some(at) = next {
                     self.schedule(FlowKey::Tx(id), at.max(now.saturating_add(SimTime(1))));
                 }
@@ -1442,45 +1431,27 @@ impl Inner {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_sr_ack(
-        &mut self,
-        core: &Rc<ManagerCore>,
-        eng: &mut Engine,
-        id: u64,
-        cumulative: u32,
-        window_start: u32,
-        sack_bits: &[u64],
-        sack_len: u32,
-        nacks: &[u32],
-    ) {
+    fn on_sr_ack(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, ack: CtrlMsg) {
+        let CtrlMsg::SrAck {
+            cumulative,
+            window_start,
+            sack_bits,
+            sack_len,
+            nacks,
+        } = ack
+        else {
+            return;
+        };
         let now = eng.now();
-        let rto = self.tx_rto(core);
         let Some(flow) = self.tx_flows.get_mut(&id) else {
             return; // late ack after completion
         };
         if flow.phase != TxPhase::Streaming {
             return;
         }
-        // At most one RTT sample per ACK, Karn-gated.
-        let mut rtt_sample = None;
-        if let Some(first) = flow.timers.first_unacked() {
-            if first < cumulative as usize {
-                rtt_sample = flow.timers.rtt_sample(first, now);
-            }
-        }
-        flow.timers.ack_prefix(cumulative as usize);
-        for b in 0..(sack_len as usize) {
-            if sack_bits
-                .get(b / 64)
-                .is_some_and(|w| w >> (b % 64) & 1 == 1)
-            {
-                let c = window_start as usize + b;
-                if flow.timers.mark_acked(c) && rtt_sample.is_none() {
-                    rtt_sample = flow.timers.rtt_sample(c, now);
-                }
-            }
-        }
+        let rtt_sample =
+            flow.timers
+                .absorb_sr_ack(cumulative, window_start, &sack_bits, sack_len, now);
         if let Some(s) = rtt_sample {
             flow.est.borrow_mut().observe_rtt(s);
         }
@@ -1489,33 +1460,8 @@ impl Inner {
             self.finish_tx(core, eng, id, true);
             return;
         }
-        // NACK fast path: claim-and-requeue reported holes into the
-        // urgent lane. The claim guard covers the pacing horizon on top
-        // of half an RTO — a repair can legitimately sit that long in the
-        // wire queue before the receiver could have seen it.
         if !nacks.is_empty() && flow.uninjected == 0 {
-            let guard = SimTime(rto.0 / 2 + core.cfg.pace_horizon.0);
-            let chunk = core.cfg.qp.chunk_bytes;
-            let bytes = flow.bytes;
-            let peer = flow.peer;
-            let mut claimed = 0u64;
-            let port = self.ports.get_mut(&peer).expect("port");
-            for &c in nacks {
-                if flow.timers.claim_for_resend(c as usize, now, guard) {
-                    let off = c as u64 * chunk;
-                    port.urgent.push_back((
-                        id,
-                        WorkItem {
-                            tag: c,
-                            bytes: chunk.min(bytes - off),
-                        },
-                    ));
-                    claimed += 1;
-                }
-            }
-            flow.retransmits += claimed;
-            self.stats.retransmits += claimed;
-            self.trace.urgent.add(claimed);
+            self.claim_nacked(core, now, id, &nacks);
         }
     }
 
@@ -1538,14 +1484,7 @@ impl Inner {
         if flow.phase != TxPhase::Streaming {
             return;
         }
-        let d_seen = seen.saturating_sub(flow.last_telem.seen);
-        let d_lost = lost.saturating_sub(flow.last_telem.lost).min(d_seen);
-        if d_seen > 0 {
-            flow.last_telem = TelemetryCounters { seen, lost };
-            let mut est = flow.est.borrow_mut();
-            est.observe_packets(d_seen, d_lost);
-            est.note_progress(now);
-        }
+        flow.absorb_telemetry(now, seen, lost);
         self.finish_tx(core, eng, id, true);
     }
 
@@ -1553,53 +1492,71 @@ impl Inner {
     /// selective-repeat exactly those (claim-guarded against NACK storms).
     fn on_ec_nack(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, failed: &[u32]) {
         let now = eng.now();
-        let rto = self.tx_rto(core);
-        let Some(flow) = self.tx_flows.get_mut(&id) else {
+        let Some(flow) = self.tx_flows.get(&id) else {
             return;
         };
         if flow.phase != TxPhase::Streaming || flow.uninjected > 0 {
             return;
         }
-        let Some(port) = self.ports.get_mut(&flow.peer) else {
-            return;
-        };
-        let chunk = core.cfg.qp.chunk_bytes;
-        let guard = SimTime(rto.0 / 2 + core.cfg.pace_horizon.0);
-        let mut claimed = 0u64;
-        for &c in failed {
-            if flow.timers.claim_for_resend(c as usize, now, guard) {
-                let off = c as u64 * chunk;
-                port.urgent.push_back((
-                    id,
-                    WorkItem {
-                        tag: c,
-                        bytes: chunk.min(flow.bytes - off),
-                    },
-                ));
-                claimed += 1;
-            }
-        }
-        flow.retransmits += claimed;
-        self.stats.retransmits += claimed;
-        self.trace.urgent.add(claimed);
-        flow.est.borrow_mut().note_progress(now);
+        let est = flow.est.clone();
+        self.claim_nacked(core, now, id, failed);
+        est.borrow_mut().note_progress(now);
     }
 
     fn on_telemetry(&mut self, eng: &mut Engine, id: u64, seen: u64, lost: u64) {
-        let now = eng.now();
-        let Some(flow) = self.tx_flows.get_mut(&id) else {
-            return;
-        };
-        // Per-flow cumulative → delta, then into the *shared* per-peer
-        // estimator (its own absorb would conflate many flows' counters).
-        let d_seen = seen.saturating_sub(flow.last_telem.seen);
-        let d_lost = lost.saturating_sub(flow.last_telem.lost).min(d_seen);
-        if d_seen > 0 {
-            flow.last_telem = TelemetryCounters { seen, lost };
-            let mut est = flow.est.borrow_mut();
-            est.observe_packets(d_seen, d_lost);
-            est.note_progress(now);
+        if let Some(flow) = self.tx_flows.get_mut(&id) {
+            flow.absorb_telemetry(eng.now(), seen, lost);
         }
+    }
+
+    /// NACK fast path: claims the reported chunks of flow `id` and queues
+    /// them for repair. The claim guard covers the pacing horizon on top
+    /// of half an RTO — a repair can legitimately sit that long in the
+    /// wire queue before the receiver could have seen it, and duplicate
+    /// reports inside the guard must not double-send.
+    fn claim_nacked(&mut self, core: &ManagerCore, now: SimTime, id: u64, chunks: &[u32]) {
+        let guard = SimTime(self.tx_rto(core).0 / 2 + core.cfg.pace_horizon.0);
+        self.repair(core, id, |t, push| {
+            for &c in chunks {
+                if t.claim_for_resend(c as usize, now, guard) {
+                    push(c as usize);
+                }
+            }
+        });
+    }
+
+    /// The one repair path of a sender flow: `claim` runs a claim rule
+    /// over the flow's timers (the RTO expiry scan or the NACK guard) and
+    /// reports each chunk it claimed; every claimed chunk goes onto the
+    /// peer's urgent lane and is charged to the flow, the manager stats
+    /// and the trace. Repairs bypass the DRR ring — a lost chunk pins a
+    /// receive slot, so repairing it beats first-pass data.
+    fn repair<R>(
+        &mut self,
+        core: &ManagerCore,
+        id: u64,
+        claim: impl FnOnce(&mut ChunkTimers, &mut dyn FnMut(usize)) -> R,
+    ) -> R {
+        let chunk = core.cfg.qp.chunk_bytes;
+        let flow = self.tx_flows.get_mut(&id).expect("live flow");
+        let port = self.ports.get_mut(&flow.peer).expect("port");
+        let bytes = flow.bytes;
+        let mut claimed = 0u64;
+        let out = claim(&mut flow.timers, &mut |c| {
+            let off = c as u64 * chunk;
+            port.urgent.push_back((
+                id,
+                WorkItem {
+                    tag: c as u32,
+                    bytes: chunk.min(bytes - off),
+                },
+            ));
+            claimed += 1;
+        });
+        flow.retransmits += claimed;
+        self.stats.retransmits += claimed;
+        self.trace.urgent.add(claimed);
+        out
     }
 
     fn finish_tx(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64, delivered: bool) {
@@ -1641,10 +1598,6 @@ impl Inner {
             let us = eng.now().saturating_sub(flow.opened_at).as_picos() / 1_000_000;
             self.trace.completion_us.record(us);
         }
-    }
-
-    fn fail_open(&mut self, core: &Rc<ManagerCore>, eng: &mut Engine, id: u64) {
-        self.finish_tx(core, eng, id, false);
     }
 
     // -- receiver side ------------------------------------------------------
@@ -1703,16 +1656,9 @@ impl Inner {
         let chunk = core.cfg.qp.chunk_bytes;
         let chunks = core.cfg.qp.chunks_for(open.bytes) as usize;
         let shard_idx = (open.flow % core.cfg.shards as u64) as usize;
-        let (parity_chunks, code) = match open.spec {
-            SchemeSpec::EcMds { k, m }
-                if k as usize == chunks && m >= 1 && open.bytes.is_multiple_of(chunk) =>
-            {
-                (m as usize, Some(self.code_for(k, m, false)))
-            }
-            SchemeSpec::EcXor { k, m }
-                if k as usize == chunks && m >= 1 && open.bytes.is_multiple_of(chunk) =>
-            {
-                (m as usize, Some(self.code_for(k, m, true)))
+        let (parity_chunks, code) = match open.spec.ec_shape() {
+            Some((choice, k, m)) if k == chunks && m >= 1 && open.bytes.is_multiple_of(chunk) => {
+                (m, Some(self.codes.get(choice, k, m)))
             }
             _ => (0, None),
         };
@@ -1832,29 +1778,24 @@ impl Inner {
         let key = (peer, id);
         // Linger: repeat the final ACK so a lost one cannot wedge the
         // sender; FlowFin (or the countdown) retires the flow.
-        let linger = {
-            let Some(flow) = self.rx_flows.get_mut(&key) else {
-                return;
-            };
-            if flow.resolved {
-                if flow.linger_left == 0 {
-                    self.rx_flows.remove(&key);
-                    return;
-                }
-                flow.linger_left -= 1;
-                Some((flow.peer_ctrl, flow.final_ack.clone().expect("resolved")))
-            } else {
-                None
-            }
+        let Some(flow) = self.rx_flows.get_mut(&key) else {
+            return;
         };
-        if let Some((dst, ack)) = linger {
-            core.ep.send_flow(eng, dst, id, &ack);
+        if flow.resolved {
+            if flow.linger_left == 0 {
+                self.rx_flows.remove(&key);
+                return;
+            }
+            flow.linger_left -= 1;
+            let ack = flow.final_ack.as_ref().expect("resolved");
+            core.ep.send_flow(eng, flow.peer_ctrl, id, ack);
             let iv = self.rx_ack_interval(core);
             self.schedule(FlowKey::Rx(peer, id), now.saturating_add(iv));
             return;
         }
-        // First-pass loss telemetry, CTS healing and the resolution check.
-        let (data_done, dst, is_ec) = {
+        // First-pass loss telemetry, CTS healing and, for ARQ flows, the
+        // resolution check.
+        let (arq_done, dst, is_ec) = {
             let flow = self.rx_flows.get_mut(&key).expect("live");
             flow.polls += 1;
             let qp = &self.ports[&peer].shards[flow.shard].qp;
@@ -1890,158 +1831,87 @@ impl Inner {
                     let _ = qp.resend_cts(eng, ph);
                 }
             }
-            let data_done = qp
-                .recv_bitmap(&flow.data_h)
-                .map(|bm| bm.chunks().first_n_set(flow.chunks))
-                .unwrap_or(false);
-            (data_done, flow.peer_ctrl, flow.code.is_some())
+            let arq_done = flow.code.is_none()
+                && qp
+                    .recv_bitmap(&flow.data_h)
+                    .is_ok_and(|bm| bm.chunks().first_n_set(flow.chunks));
+            (arq_done, flow.peer_ctrl, flow.code.is_some())
         };
-        let decoded = if !data_done && is_ec {
-            self.try_decode(core, peer, id)
+        let outcome = if is_ec {
+            self.resolve_ec(core, peer, id)
+        } else if arq_done {
+            EcResolution::Complete
         } else {
-            false
+            EcResolution::Pending
         };
-        if data_done || decoded {
-            self.rx_flows.get_mut(&key).expect("live").decoded = decoded;
+        if outcome != EcResolution::Pending {
+            self.rx_flows.get_mut(&key).expect("live").decoded = outcome == EcResolution::Decoded;
             self.resolve_rx(core, eng, peer, id);
             return;
         }
-        // Not resolved: scheme-specific repair nudge.
+        // Not resolved: scheme-specific repair nudge, then the periodic
+        // cumulative telemetry report.
+        let flow = self.rx_flows.get_mut(&key).expect("live");
         if !is_ec {
-            let ack = {
-                let flow = &self.rx_flows[&key];
-                let qp = &self.ports[&peer].shards[flow.shard].qp;
-                let bm = qp.recv_bitmap(&flow.data_h).expect("slot active");
-                build_sr_ack(bm.chunks(), flow.chunks, true)
-            };
+            let qp = &self.ports[&peer].shards[flow.shard].qp;
+            let bm = qp.recv_bitmap(&flow.data_h).expect("slot active");
+            let ack = build_sr_ack(bm.chunks(), flow.chunks, true);
             core.ep.send_flow(eng, dst, id, &ack);
-        } else {
-            // FTO expiry: NACK the missing data chunks for §4.1.2
-            // chunk-granular selective repeat, then re-arm the FTO.
-            let nack = {
-                let flow = self.rx_flows.get_mut(&key).expect("live");
-                if flow.fto_deadline.is_some_and(|d| now >= d) {
-                    flow.fto_deadline = Some(now.saturating_add(flow.fto));
-                    let qp = &self.ports[&peer].shards[flow.shard].qp;
-                    let mut failed = Vec::new();
-                    if let Ok(bm) = qp.recv_bitmap(&flow.data_h) {
-                        bm.chunks().for_each_missing_in_first_n(flow.chunks, |c| {
-                            if failed.len() < MAX_FLOW_NACKS {
-                                failed.push(c as u32);
-                            }
-                        });
-                    }
-                    Some(CtrlMsg::EcNack { failed })
-                } else {
-                    None
-                }
-            };
-            if let Some(n) = nack {
-                core.ep.send_flow(eng, dst, id, &n);
-            }
+        } else if flow.fto_deadline.is_some_and(|d| now >= d) {
+            // FTO expiry: NACK the data chunks the resolver found missing
+            // or stale for §4.1.2 chunk-granular selective repeat, then
+            // re-arm the FTO.
+            flow.fto_deadline = Some(now.saturating_add(flow.fto));
+            let failed = (self.scratch.data_present(flow.chunks).iter())
+                .enumerate()
+                .filter(|&(_, &present)| !present)
+                .map(|(c, _)| c as u32)
+                .take(MAX_FLOW_NACKS)
+                .collect();
+            core.ep.send_flow(eng, dst, id, &CtrlMsg::EcNack { failed });
         }
-        let telem = {
-            let flow = &self.rx_flows[&key];
-            if flow.polls.is_multiple_of(TELEMETRY_EVERY) {
-                Some(CtrlMsg::Telemetry {
-                    seen: flow.counters.seen,
-                    lost: flow.counters.lost,
-                })
-            } else {
-                None
-            }
-        };
-        if let Some(t) = telem {
-            core.ep.send_flow(eng, dst, id, &t);
+        if flow.polls.is_multiple_of(TELEMETRY_EVERY) {
+            let TelemetryCounters { seen, lost } = flow.counters;
+            core.ep
+                .send_flow(eng, dst, id, &CtrlMsg::Telemetry { seen, lost });
         }
         let iv = self.rx_ack_interval(core);
         self.schedule(FlowKey::Rx(peer, id), now.saturating_add(iv));
     }
 
-    /// Attempts an in-place erasure decode of the flow's single
-    /// submessage through the manager-shared scratch. `true` when the
-    /// message is now fully present in the destination buffer.
-    fn try_decode(&mut self, core: &Rc<ManagerCore>, peer: NodeId, id: u64) -> bool {
-        let key = (peer, id);
-        let flow = self.rx_flows.get(&key).expect("live");
+    /// Resolves an EC flow's single submessage through the shared
+    /// resolver, auditing every present chunk against its arrival CRCs
+    /// when payload checksums are on.
+    fn resolve_ec(&mut self, core: &ManagerCore, peer: NodeId, id: u64) -> EcResolution {
+        let flow = &self.rx_flows[&(peer, id)];
         let qp = &self.ports[&peer].shards[flow.shard].qp;
-        let Ok(data_bm) = qp.recv_bitmap(&flow.data_h) else {
-            return false;
+        let parity_h = flow.parity_h.as_ref().expect("ec flow");
+        let data_bm = qp.recv_bitmap(&flow.data_h).expect("slot active");
+        let parity_bm = qp.recv_bitmap(parity_h).expect("slot active");
+        let sub = EcSubmsg {
+            code: flow.code.as_deref().expect("ec flow"),
+            k: flow.chunks,
+            m: flow.parity_chunks,
+            chunk_bytes: flow.chunk_bytes,
+            data_addr: flow.dst_addr,
+            parity_addr: flow.parity_addr,
+            data_bm: &data_bm,
+            parity_bm: &parity_bm,
         };
-        let Ok(parity_bm) = qp.recv_bitmap(flow.parity_h.as_ref().expect("ec flow")) else {
-            return false;
+        let qcfg = &core.cfg.qp;
+        let pkts_per_chunk = (qcfg.chunk_bytes / qcfg.mtu_bytes) as usize;
+        let mut verify = |parity: bool, c: usize, b: &[u8]| {
+            let h = if parity { parity_h } else { &flow.data_h };
+            qp.verify_packet_range(h, c * pkts_per_chunk, b)
+                .unwrap_or(true)
         };
-        let code = flow.code.as_ref().expect("ec flow").clone();
-        let k = flow.chunks;
-        let m = flow.parity_chunks;
-        let chunk_len = flow.chunk_bytes as usize;
-        let (dst_addr, parity_addr) = (flow.dst_addr, flow.parity_addr);
-        let scratch_rc = self.scratch.clone();
-        let mut scratch_guard = scratch_rc.borrow_mut();
-        let scratch = &mut *scratch_guard;
-        scratch.data_present.clear();
-        scratch.data_present.resize(k, true);
-        let flags = &mut scratch.data_present;
-        data_bm
-            .chunks()
-            .for_each_missing_in_first_n(k, |c| flags[c] = false);
-        scratch.parity_present.clear();
-        scratch.parity_present.resize(m, true);
-        let flags = &mut scratch.parity_present;
-        parity_bm
-            .chunks()
-            .for_each_missing_in_first_n(m, |c| flags[c] = false);
-        scratch.present.clear();
-        let (present, dp, pp) = (
-            &mut scratch.present,
-            &scratch.data_present,
-            &scratch.parity_present,
-        );
-        present.extend_from_slice(dp);
-        present.extend_from_slice(pp);
-        if !code.can_recover(&scratch.present) {
-            return false;
+        let audit = qcfg.payload_checksums.then_some(&mut verify as ChunkAudit);
+        let (outcome, stale) = self.scratch.resolve(&core.ctx, &sub, audit);
+        self.stats.stale_chunks += stale;
+        if outcome == EcResolution::Decoded {
+            self.stats.decoded += 1;
         }
-        debug_assert!(scratch.shards.is_empty());
-        for c in 0..k {
-            if scratch.data_present[c] {
-                let mut b = scratch.take(chunk_len);
-                core.ctx
-                    .read_buffer_into(dst_addr + c as u64 * chunk_len as u64, &mut b);
-                scratch.shards.push(Some(b));
-            } else {
-                scratch.shards.push(None);
-            }
-        }
-        for c in 0..m {
-            if scratch.parity_present[c] {
-                let mut b = scratch.take(chunk_len);
-                core.ctx
-                    .read_buffer_into(parity_addr + c as u64 * chunk_len as u64, &mut b);
-                scratch.shards.push(Some(b));
-            } else {
-                scratch.shards.push(None);
-            }
-        }
-        {
-            let EcScratch { pool, shards, .. } = scratch;
-            code.reconstruct_into(shards, &mut |len| pool.take(len))
-                .expect("can_recover checked");
-        }
-        for c in 0..k {
-            if !scratch.data_present[c] {
-                let shard = scratch.shards[c].as_ref().expect("reconstructed");
-                core.ctx
-                    .write_buffer(dst_addr + c as u64 * chunk_len as u64, shard);
-            }
-        }
-        let mut staged = std::mem::take(&mut scratch.shards);
-        for b in staged.drain(..).flatten() {
-            scratch.put(b);
-        }
-        scratch.shards = staged;
-        self.stats.decoded += 1;
-        true
+        outcome
     }
 
     /// The flow's message is fully present: release the slots (freeing
@@ -2096,19 +1966,6 @@ impl Inner {
 
     // -- EC helpers ---------------------------------------------------------
 
-    fn code_for(&mut self, k: u16, m: u16, xor: bool) -> Arc<dyn ErasureCode> {
-        self.codes
-            .entry((k, m, xor))
-            .or_insert_with(|| {
-                if xor {
-                    Arc::new(XorCode::new(k as usize, m as usize))
-                } else {
-                    Arc::new(ReedSolomon::new(k as usize, m as usize))
-                }
-            })
-            .clone()
-    }
-
     /// Stages the flow's parity into a fresh buffer via the shared encode
     /// pool, renting every staging buffer from the manager scratch.
     fn stage_parity(
@@ -2119,24 +1976,18 @@ impl Inner {
         spec: SchemeSpec,
     ) -> u64 {
         let chunk = core.cfg.qp.chunk_bytes as usize;
-        let (m, xor) = match spec {
-            SchemeSpec::EcMds { m, .. } => (m as usize, false),
-            SchemeSpec::EcXor { m, .. } => (m as usize, true),
-            _ => unreachable!("parity staging is EC-only"),
-        };
-        let code = self.code_for(chunks as u16, m as u16, xor);
+        let (choice, _, m) = spec.ec_shape().expect("parity staging is EC-only");
+        let code = self.codes.get(choice, chunks, m);
         let parity_addr = core.ctx.alloc_buffer((m * chunk) as u64);
-        let scratch_rc = self.scratch.clone();
-        let mut scratch_guard = scratch_rc.borrow_mut();
-        let scratch = &mut *scratch_guard;
+        let scratch = &mut self.scratch;
         let mut data: Vec<Vec<u8>> = Vec::with_capacity(chunks);
         for c in 0..chunks {
-            let mut b = scratch.take(chunk);
+            let mut b = scratch.pool.take(chunk);
             core.ctx
                 .read_buffer_into(src_addr + (c * chunk) as u64, &mut b);
             data.push(b);
         }
-        let mut parity: Vec<Vec<u8>> = (0..m).map(|_| scratch.take(chunk)).collect();
+        let mut parity: Vec<Vec<u8>> = (0..m).map(|_| scratch.pool.take(chunk)).collect();
         {
             let data_refs: Vec<&[u8]> = data.iter().map(|b| b.as_slice()).collect();
             let mut parity_refs: Vec<&mut [u8]> =
@@ -2147,7 +1998,7 @@ impl Inner {
             core.ctx.write_buffer(parity_addr + (c * chunk) as u64, b);
         }
         for b in data.into_iter().chain(parity) {
-            scratch.put(b);
+            scratch.pool.put(b);
         }
         parity_addr
     }

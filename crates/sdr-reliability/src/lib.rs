@@ -216,7 +216,8 @@
 //!      fed a stale chunk would launder corruption into k clean-looking
 //!      outputs — demoting stale chunks to absent, decoding around them
 //!      when parity allows, and re-NACKing through the fallback path when
-//!      it does not (`EcRecvStats::stale_chunks`).
+//!      it does not (`EcRecvStats::stale_chunks`). Flow-engine EC flows run
+//!      the same resolver (`FlowStats::stale_chunks`).
 //!   4. **Delivery is digest-verified.** After all bitmaps complete, the
 //!      receiver runs a whole-message CRC32C handshake
 //!      ([`CtrlMsg::DigestQuery`](ack::CtrlMsg::DigestQuery) /

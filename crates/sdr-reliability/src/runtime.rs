@@ -18,7 +18,13 @@
 //!   [`TimerHandle`] lets completion cancel the loop outright.
 //! * [`ChunkTimers`] — **retransmission timers + ACK bookkeeping** for ARQ
 //!   senders: per-chunk last-send stamps, acked flags with a monotone
-//!   first-unacked cursor, RTO expiry scans and the NACK double-send guard.
+//!   first-unacked cursor, the SACK absorber
+//!   ([`absorb_sr_ack`](ChunkTimers::absorb_sr_ack): cumulative + selective
+//!   ACK in, one Karn-gated RTT sample out) and the two repair claims — the
+//!   RTO expiry scan ([`take_expired`](ChunkTimers::take_expired)) and the
+//!   NACK double-send guard ([`claim_for_resend`](ChunkTimers::claim_for_resend)).
+//!   The SR sender resends what they claim straight away; the flow engine
+//!   sends every claim through its one repair path onto an urgent lane.
 //! * [`StreamTx`] — **sender message-slot lifecycle**: open-on-CTS,
 //!   whole-message injection, chunk/window retransmission and stream close
 //!   over one [`SdrQp`] streaming send.
@@ -32,10 +38,23 @@
 //!   callback exactly once, repeats the final ACK for `linger` ticks to
 //!   tolerate ACK loss, and releases every receive slot exactly once.
 //!
+//! Two more shared mechanisms live beside the scheme that owns them:
+//!
+//! * the **EC submessage resolver** (`EcScratch::resolve` in `ec.rs`):
+//!   presence scan, arrival-CRC audit, recoverability check and in-place
+//!   decode over one pooled scratch. The EC receiver runs it per
+//!   submessage, the flow engine per EC flow;
+//! * the **telemetry watermark** ([`TelemetryCounters::advance`]): turns a
+//!   peer's cumulative first-pass counters into a delta, ignoring stale
+//!   and duplicate reports — for the estimator's own report absorption and
+//!   for each flow's share of a per-peer estimator.
+//!
 //! `sr.rs`, `ec.rs` and `gbn.rs` contain only what is genuinely different
 //! between the schemes: the ACK wire policy and the repair rule. Adding a
 //! new scheme means implementing [`RxScheme`] plus a sender policy — no new
 //! timer, lifecycle or control plumbing.
+//!
+//! [`TelemetryCounters::advance`]: crate::telemetry::TelemetryCounters::advance
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -469,6 +488,38 @@ impl ChunkTimers {
             self.mark_acked(c);
         }
         self.advance_cursor();
+    }
+
+    /// Applies one selective-repeat ACK: everything below `cumulative`,
+    /// plus every set bit `b < sack_len` of `sack_bits` (chunk
+    /// `window_start + b`). Bits past `sack_len` or past the message are
+    /// ignored. Returns at most one RTT sample: the first chunk this ACK
+    /// newly acknowledges — the cumulative part first, then the SACK bits
+    /// in order — if it was never retransmitted (Karn's rule).
+    pub fn absorb_sr_ack(
+        &mut self,
+        cumulative: u32,
+        window_start: u32,
+        sack_bits: &[u64],
+        sack_len: u32,
+        now: SimTime,
+    ) -> Option<SimTime> {
+        let mut sample = None;
+        if let Some(first) = self.first_unacked() {
+            if first < cumulative as usize {
+                sample = self.rtt_sample(first, now);
+            }
+        }
+        self.ack_prefix(cumulative as usize);
+        for b in 0..(sack_len as usize).min(64 * sack_bits.len()) {
+            if sack_bits[b / 64] >> (b % 64) & 1 == 1 {
+                let c = window_start as usize + b;
+                if self.mark_acked(c) && sample.is_none() {
+                    sample = self.rtt_sample(c, now);
+                }
+            }
+        }
+        sample
     }
 
     /// The lowest unacked chunk, if any (the GBN base / SR scan floor).
@@ -1111,6 +1162,42 @@ mod tests {
         t.ack_prefix(4);
         assert!(t.is_complete());
         assert_eq!(t.first_unacked(), None);
+    }
+
+    #[test]
+    fn sr_ack_absorption_applies_karn_across_cumulative_and_sack() {
+        let ns = SimTime::from_nanos;
+        let mut t = ChunkTimers::new(8);
+        // Chunk c is sent at c µs, so a sample names the chunk it came from.
+        for c in 0..8 {
+            t.record_sent(c, ns(1000 * c as u64));
+        }
+        let now = ns(100_000);
+        // Cumulative part first: chunk 0 is the first newly acked chunk.
+        assert_eq!(t.absorb_sr_ack(1, 2, &[0b1], 1, now), Some(now));
+        assert_eq!(t.acked_count(), 2, "chunks 0 and 2");
+        // Chunk 1 was retransmitted: its cumulative ack yields no sample,
+        // and the first clean chunk among the SACK bits (chunk 4 — bit 0
+        // names retransmitted chunk 3) supplies it instead.
+        assert!(t.claim_for_resend(1, now, SimTime::ZERO));
+        assert!(t.claim_for_resend(3, now, SimTime::ZERO));
+        assert_eq!(t.absorb_sr_ack(2, 3, &[0b11], 2, now), Some(now - ns(4000)));
+        assert_eq!(t.acked_count(), 5);
+        // Nothing newly acked: no sample.
+        assert_eq!(t.absorb_sr_ack(2, 3, &[0b11], 2, now), None);
+        // Bits past `sack_len`, windows past the message and `sack_len`
+        // past the words are ignored.
+        assert_eq!(t.absorb_sr_ack(5, 5, &[0b100], 2, now), None);
+        assert_eq!(
+            t.absorb_sr_ack(5, 7, &[u64::MAX], 64, now),
+            Some(now - ns(7000))
+        );
+        assert_eq!(
+            t.absorb_sr_ack(5, 5, &[0b1], 200, now),
+            Some(now - ns(5000))
+        );
+        assert_eq!(t.acked_count(), 7, "chunk 6 never acked");
+        assert_eq!(t.first_unacked(), Some(6));
     }
 
     #[test]

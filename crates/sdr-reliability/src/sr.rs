@@ -154,24 +154,7 @@ impl SrSender {
 
         // Control-path handler: apply ACKs.
         wire_ctrl(&ctrl, &inner, |me, eng, _src, msg| {
-            if let CtrlMsg::SrAck {
-                cumulative,
-                window_start,
-                sack_bits,
-                sack_len,
-                nacks,
-            } = msg
-            {
-                Self::on_ack(
-                    me,
-                    eng,
-                    cumulative,
-                    window_start,
-                    &sack_bits,
-                    sack_len,
-                    &nacks,
-                );
-            }
+            Self::on_ack(me, eng, msg)
         });
 
         // Begin now if the CTS credit is already here; otherwise hook it.
@@ -274,40 +257,26 @@ impl SrSender {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_ack(
-        inner: &Rc<RefCell<SenderInner>>,
-        eng: &mut Engine,
-        cumulative: u32,
-        window_start: u32,
-        sack_bits: &[u64],
-        sack_len: u32,
-        nacks: &[u32],
-    ) {
+    fn on_ack(inner: &Rc<RefCell<SenderInner>>, eng: &mut Engine, msg: CtrlMsg) {
+        let CtrlMsg::SrAck {
+            cumulative,
+            window_start,
+            sack_bits,
+            sack_len,
+            nacks,
+        } = msg
+        else {
+            return;
+        };
         let mut i = inner.borrow_mut();
         if i.completion.is_done() {
             return;
         }
         i.acks += 1;
         let backoff_before = i.timers.backoff();
-        // At most one RTT sample per ACK: the first chunk this ACK newly
-        // acknowledges, if it was never retransmitted (Karn's rule).
-        let mut rtt_sample = None;
-        let now = eng.now();
-        if let Some(first) = i.timers.first_unacked() {
-            if first < cumulative as usize {
-                rtt_sample = i.timers.rtt_sample(first, now);
-            }
-        }
-        i.timers.ack_prefix(cumulative as usize);
-        for b in 0..(sack_len as usize) {
-            if sack_bits[b / 64] >> (b % 64) & 1 == 1 {
-                let c = window_start as usize + b;
-                if i.timers.mark_acked(c) && rtt_sample.is_none() {
-                    rtt_sample = i.timers.rtt_sample(c, now);
-                }
-            }
-        }
+        let rtt_sample =
+            i.timers
+                .absorb_sr_ack(cumulative, window_start, &sack_bits, sack_len, eng.now());
         if let (Some(sample), Some(est)) = (rtt_sample, &i.telemetry) {
             est.borrow_mut().observe_rtt(sample);
         }
@@ -322,7 +291,7 @@ impl SrSender {
                 retransmitted,
                 ..
             } = &mut *i;
-            for &c in nacks {
+            for &c in &nacks {
                 if timers.claim_for_resend(c as usize, now, guard) {
                     stream.resend_chunk(eng, c as usize);
                     *retransmitted += 1;

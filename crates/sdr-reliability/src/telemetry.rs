@@ -84,6 +84,23 @@ pub struct TelemetryCounters {
     pub lost: u64,
 }
 
+impl TelemetryCounters {
+    /// Moves this watermark to a newer cumulative `reported` snapshot and
+    /// returns the `(seen, lost)` delta since the old one (`lost` clamped
+    /// to `seen`). Stale or duplicate reports (`seen` not advancing)
+    /// return `None` and leave the watermark alone, so datagram loss and
+    /// reordering on the control path are harmless.
+    pub fn advance(&mut self, reported: TelemetryCounters) -> Option<(u64, u64)> {
+        if reported.seen <= self.seen {
+            return None;
+        }
+        let seen = reported.seen - self.seen;
+        let lost = reported.lost.saturating_sub(self.lost).min(seen);
+        *self = reported;
+        Some((seen, lost))
+    }
+}
+
 /// EWMA channel estimator with confidence tracking. One instance lives on
 /// the receiver (fed by bitmap polls), one on the sender (fed by
 /// [`TelemetryCounters`] deltas and ACK round-trip RTT samples).
@@ -167,13 +184,9 @@ impl ChannelEstimator {
     ///
     /// [`CtrlMsg::Telemetry`]: crate::ack::CtrlMsg::Telemetry
     pub fn absorb_report(&mut self, counters: TelemetryCounters) {
-        if counters.seen <= self.peer.seen {
-            return;
+        if let Some((seen, lost)) = self.peer.advance(counters) {
+            self.observe_packets(seen, lost);
         }
-        let seen = counters.seen - self.peer.seen;
-        let lost = counters.lost.saturating_sub(self.peer.lost).min(seen);
-        self.peer = counters;
-        self.observe_packets(seen, lost);
     }
 
     /// Feeds one RTT sample from a control-plane round trip.
@@ -544,6 +557,22 @@ mod tests {
         // A duplicate of the newest: ignored too.
         tx.absorb_report(second);
         assert_eq!(tx.packets_seen(), 2000);
+    }
+
+    #[test]
+    fn counter_watermark_yields_deltas_and_ignores_stale_reports() {
+        let c = |seen, lost| TelemetryCounters { seen, lost };
+        let mut w = TelemetryCounters::default();
+        assert_eq!(w.advance(c(0, 0)), None, "nothing seen yet");
+        assert_eq!(w.advance(c(100, 4)), Some((100, 4)));
+        assert_eq!(w.advance(c(100, 4)), None, "duplicate");
+        assert_eq!(w.advance(c(60, 1)), None, "stale (reordered)");
+        assert_eq!(w, c(100, 4), "ignored reports leave the watermark");
+        assert_eq!(w.advance(c(250, 10)), Some((150, 6)));
+        // A report whose `lost` ran backwards or past `seen` is clamped.
+        assert_eq!(w.advance(c(260, 2)), Some((10, 0)));
+        assert_eq!(w.advance(c(270, 50)), Some((10, 10)));
+        assert_eq!(w, c(270, 50));
     }
 
     #[test]

@@ -11,7 +11,9 @@
 //!   by the arrival-CRC audit before decode, then repaired either by
 //!   decoding around the stale shard or (when too many shards are dirty
 //!   for the code) by the fallback NACK whose clean re-arrivals heal the
-//!   memory in place.
+//!   memory in place;
+//! * **flow-engine EC stale shards** — the same audit on a
+//!   [`FlowManager`] EC flow: decoded around, or re-NACKed chunk by chunk.
 
 mod common;
 
@@ -19,12 +21,14 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use common::{capture, took, ProtoHarness};
-use sdr_core::SdrConfig;
+use sdr_core::testkit::pattern;
+use sdr_core::{SdrConfig, SdrContext};
 use sdr_reliability::{
-    AbortReason, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, EcCodeChoice,
-    EcProtoConfig, EcReceiver, EcSender, SchemeSpec, TelemetryConfig, TransferOutcome,
+    AbortReason, AdaptConfig, AdaptRecvReport, AdaptReport, AdaptiveController, ControlEndpoint,
+    EcCodeChoice, EcProtoConfig, EcReceiver, EcSender, FlowCfg, FlowManager, FlowReport, FlowStats,
+    RxFlowDone, SchemeSpec, TelemetryConfig, TransferOutcome,
 };
-use sdr_sim::{Engine, LinkConfig, SimTime};
+use sdr_sim::{Engine, Fabric, LinkConfig, SimTime};
 
 const BW: f64 = 8e9;
 const KM: f64 = 1000.0;
@@ -301,4 +305,90 @@ fn ec_stale_shards_beyond_code_strength_are_renacked_and_healed() {
         "with decode impossible, the FTO NACK must fire"
     );
     assert!(h.delivered_ok(), "clean re-arrivals healed the memory");
+}
+
+/// Sends one `EcMds { k, m }` flow through a pair of flow managers over a
+/// clean link — the flow-engine twin of [`ec_deploy`] — while keeping
+/// byte 7 of each data chunk in `dirty` damaged in the receiver's buffer
+/// (one poke every 2 µs) until the flow resolves or `stop(tx, rx)` holds
+/// on the managers' stats. Checks byte-identical delivery and returns the
+/// final `(tx, rx)` stats and the receive notice.
+fn flow_ec_poked(
+    (k, m): (u16, u16),
+    seed: u64,
+    dirty: &[u64],
+    stop: fn(&FlowStats, &FlowStats) -> bool,
+) -> (FlowStats, FlowStats, RxFlowDone) {
+    let (chunk, len) = (64u64 << 10, k as u64 * (64 << 10));
+    let mut eng = Engine::new();
+    let fabric = Fabric::new();
+    let (a, b) = (fabric.add_node(16 << 20), fabric.add_node(16 << 20));
+    fabric.link_duplex(a, b, LinkConfig::wan(50.0, BW, 0.0).with_seed(seed));
+    let (ctx_a, ctx_b) = (SdrContext::new(&fabric, a), SdrContext::new(&fabric, b));
+    let qp = SdrConfig::default();
+    assert!(qp.payload_checksums, "the audit needs arrival CRCs");
+    let cfg = FlowCfg::new(qp, BW, fabric.rtt(a, b).unwrap());
+    let mgr = |n| {
+        let ctrl = Rc::new(ControlEndpoint::new(&fabric, n));
+        Rc::new(FlowManager::new(&fabric, n, ctrl, cfg.clone()))
+    };
+    let (tx, rx) = (mgr(a), mgr(b));
+    FlowManager::connect(&tx, &rx);
+    let dst = ctx_b.alloc_buffer(len);
+    rx.set_rx_allocator(move |_| dst);
+    let arrived = Rc::new(RefCell::new(None));
+    let arr = arrived.clone();
+    rx.on_rx_done(move |_, d| *arr.borrow_mut() = Some(d));
+    let data = pattern(len as usize, seed);
+    let src = ctx_a.alloc_buffer(len);
+    ctx_a.write_buffer(src, &data);
+    let (report, rep) = capture::<FlowReport>();
+    let spec = SchemeSpec::EcMds { k, m };
+    tx.open_flow_with_spec(&mut eng, b, src, len, spec, rep);
+    let pokes: Vec<(u64, u8)> = (dirty.iter().map(|c| c * chunk + 7))
+        .map(|off| (dst + off, data[off as usize] ^ 0x80))
+        .collect();
+    let (t, r, arr, ctx) = (tx.clone(), rx.clone(), arrived.clone(), ctx_b.clone());
+    eng.schedule_recurring_at(SimTime::from_nanos(500), move |eng: &mut Engine| {
+        if stop(&t.stats(), &r.stats()) || arr.borrow().is_some() {
+            return None;
+        }
+        for &(addr, bad) in &pokes {
+            ctx.write_buffer(addr, &[bad]);
+        }
+        Some(eng.now() + SimTime::from_nanos(2_000))
+    });
+    eng.set_event_limit(20_000_000);
+    eng.run();
+    assert!(took(&report, "flow sender").delivered, "sender completed");
+    let done = arrived.borrow_mut().take().expect("receiver resolved");
+    assert!(
+        ctx_b.read_buffer(dst, len as usize) == data,
+        "delivered bytes differ"
+    );
+    (tx.stats(), rx.stats(), done)
+}
+
+/// The flow engine's EC receive path runs the same arrival-CRC audit as
+/// [`EcReceiver`]: a landed data chunk damaged in receiver memory is
+/// demoted to absent and decoded around from parity, never delivered.
+#[test]
+fn flow_ec_stale_shard_is_demoted_and_decoded_around() {
+    let (_, rx, done) = flow_ec_poked((4, 2), 61, &[0], |_, rx| rx.stale_chunks > 0);
+    assert!(rx.stale_chunks > 0, "the audit must catch the stale shard");
+    assert!(
+        done.decoded,
+        "the stale shard is decoded around, not trusted"
+    );
+}
+
+/// More stale data chunks than the flow's parity covers: decode is
+/// impossible, so the fallback NACK lists the stale chunks (their bitmap
+/// bits are set — only the audit knows they are bad) and the clean
+/// resends heal the memory in place.
+#[test]
+fn flow_ec_stale_shards_beyond_code_strength_are_renacked_and_healed() {
+    let (tx, rx, _) = flow_ec_poked((4, 1), 63, &[0, 1, 2], |tx, _| tx.retransmits > 0);
+    assert!(rx.stale_chunks > 0, "the audit must fire");
+    assert!(tx.retransmits > 0, "the NACK must repair the stale chunks");
 }

@@ -9,8 +9,8 @@
 //! [`equeue`](crate::equeue) for the architecture: slab-backed nodes, 64
 //! slots × 11 levels spanning the whole `u64` range, zero allocation at
 //! steady state). A binary-heap reference backend is kept for differential
-//! testing and A/B measurement — select it process-wide with
-//! `SDR_SIM_QUEUE=heap` or per engine with [`Engine::with_queue`].
+//! testing and A/B measurement; only [`Engine::with_queue`] selects it.
+//! [`Engine::new`] always runs the wheel.
 //!
 //! Three event shapes are supported:
 //!
@@ -33,7 +33,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::OnceLock;
 
 use sdr_trace::{Counter, Registry};
 
@@ -43,17 +42,6 @@ use crate::time::SimTime;
 /// An event body: runs at its scheduled time with access to the engine so it
 /// can schedule follow-up events.
 pub type Action = Box<dyn FnOnce(&mut Engine)>;
-
-/// The process-wide default backend (`SDR_SIM_QUEUE`, read once).
-fn default_kind() -> QueueKind {
-    static KIND: OnceLock<QueueKind> = OnceLock::new();
-    *KIND.get_or_init(|| match std::env::var("SDR_SIM_QUEUE") {
-        Ok(v) if v.eq_ignore_ascii_case("heap") => QueueKind::Heap,
-        Ok(v) if v.eq_ignore_ascii_case("wheel") || v.is_empty() => QueueKind::Wheel,
-        Ok(v) => panic!("SDR_SIM_QUEUE must be `wheel` or `heap`, got `{v}`"),
-        Err(_) => QueueKind::Wheel,
-    })
-}
 
 /// Deterministic single-threaded discrete-event executor.
 ///
@@ -96,10 +84,9 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// Creates an engine at time zero with an empty queue, on the backend
-    /// selected by `SDR_SIM_QUEUE` (the timing wheel by default).
+    /// Creates an engine at time zero with an empty timing-wheel queue.
     pub fn new() -> Self {
-        Self::with_queue(default_kind())
+        Self::with_queue(QueueKind::Wheel)
     }
 
     /// Creates an engine pinned to a specific queue backend (for

@@ -62,13 +62,15 @@
 //!
 //! # Backend selection
 //!
-//! `SDR_SIM_QUEUE=heap` selects the reference binary-heap backend
-//! process-wide (`wheel` — the default — selects the wheel);
-//! [`Engine::with_queue`](crate::Engine::with_queue) pins one engine
-//! explicitly. Both backends share the slab, the sequence counter and the
-//! cancel/re-arm semantics, and `tests/queue_differential.rs` proves they
-//! execute identical `(time, seq)` orders over randomized
-//! schedule/cancel/re-arm workloads.
+//! [`Engine::new`](crate::Engine::new) always runs the wheel; the
+//! reference binary-heap backend is reachable only through
+//! [`Engine::with_queue`](crate::Engine::with_queue), for differential
+//! tests and A/B benchmarks. Both backends share the slab, the sequence
+//! counter and the cancel/re-arm semantics: `tests/queue_differential.rs`
+//! proves they execute identical `(time, seq)` orders over randomized
+//! schedule/cancel/re-arm workloads, and the workspace's
+//! `tests/queue_backends.rs` runs whole SDR stacks on both and compares
+//! every report.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -94,8 +96,9 @@ const NIL: u32 = u32::MAX;
 pub enum QueueKind {
     /// The hierarchical timing wheel (default).
     Wheel,
-    /// The binary-heap reference implementation (`SDR_SIM_QUEUE=heap`),
-    /// kept for A/B differential testing.
+    /// The binary-heap reference implementation, kept for A/B
+    /// differential testing ([`Engine::with_queue`](crate::Engine::with_queue)
+    /// only).
     Heap,
 }
 

@@ -15,9 +15,9 @@
 //!   re-armable ([`Engine::cancel`] / [`Engine::reschedule`]) so stale
 //!   timers neither fire as no-ops nor count as pending. Execution order
 //!   is exactly `(time, schedule order)` — identical to the retained
-//!   binary-heap reference backend, provable with `SDR_SIM_QUEUE=heap`
-//!   (see [`equeue`] for the architecture and the determinism argument,
-//!   and `tests/queue_differential.rs` for the proof harness).
+//!   binary-heap reference backend ([`Engine::with_queue`]; see
+//!   [`equeue`] for the architecture and the determinism argument, and
+//!   `tests/queue_differential.rs` for the proof harness).
 //! * [`Link`]/[`LinkConfig`] — serialization at line rate, propagation
 //!   delay from distance (paper convention: 3750 km ⇒ 25 ms RTT), i.i.d.
 //!   or Gilbert–Elliott loss, and optional reorder jitter. Deliveries are
@@ -44,10 +44,7 @@
 //!   out instead of minting generation-stamped no-op events.
 //!
 //! Everything is seeded and single-threaded: a simulation with the same
-//! inputs produces bit-identical outputs. `SDR_SIM_QUEUE=wheel|heap`
-//! selects the queue backend process-wide (wheel is the default; the two
-//! backends execute identical event orders, so this is an A/B instrument,
-//! not a semantic switch).
+//! inputs produces bit-identical outputs, on either queue backend.
 
 #![warn(missing_docs)]
 

@@ -2,7 +2,7 @@
 //! backends execute identical `(time, seq)` orders.
 //!
 //! The wheel replaced the heap as the default queue in PR 5; the heap is
-//! retained (`SDR_SIM_QUEUE=heap`, [`Engine::with_queue`]) precisely so
+//! retained ([`Engine::with_queue`]) precisely so
 //! this suite can keep proving the two are observationally equivalent —
 //! over randomized workloads of one-shot schedules, nested schedules,
 //! recurring events, cancels and re-arms, the full execution trace
